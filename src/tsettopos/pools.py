@@ -3,8 +3,11 @@
 Everything here is exhaustive enumeration up to isomorphism with a
 canonical output order, so that two runs over the same bounds produce
 identical pools.  Posets are generated as upper-triangular relations
-and deduplicated by a minimal permuted form; identity tables and
-restriction tables get the same treatment.
+and deduplicated by a minimal permuted form, as are restriction
+tables.  Identity tables are keyed by a partition-refined canonical
+form (McKay, *Practical Graph Isomorphism*, 1981): elements are first
+sorted by an isomorphism invariant, and the minimum is taken only over
+relabellings that permute within blocks of equal invariant.
 """
 
 from __future__ import annotations
@@ -77,8 +80,29 @@ def algebra_pool(max_size: int) -> list[tuple[str, HeytingAlgebra]]:
     return out
 
 
-def _table_key(n: int, table, perm) -> tuple[int, ...]:
-    return tuple(table[perm[i]][perm[j]] for i in range(n) for j in range(n))
+def _table_key(table) -> tuple:
+    """Canonical form of a symmetric identity table: equal exactly for
+    tables that differ by a relabelling of the carrier.
+
+    Each element's invariant is its existence degree plus its sorted
+    Id-row.  The key is the sorted invariant list together with the
+    least permuted table over the relabellings that list the elements
+    in invariant order, i.e. that permute only within blocks of equal
+    invariant.  An isomorphism carries blocks onto blocks, so
+    isomorphic tables get equal keys; equal keys exhibit a relabelling.
+    """
+    n = len(table)
+    inv = [(table[x][x], tuple(sorted(table[x]))) for x in range(n)]
+    order = sorted(range(n), key=inv.__getitem__)
+    blocks = [
+        tuple(grp) for _, grp in itertools.groupby(order, key=inv.__getitem__)
+    ]
+    perms = (
+        [x for blk in choice for x in blk]
+        for choice in itertools.product(*map(itertools.permutations, blocks))
+    )
+    best = min(tuple(table[i][j] for i in p for j in p) for p in perms)
+    return tuple(inv[x] for x in order), best
 
 
 def tset_pool(H: HeytingAlgebra, max_size: int, *,
@@ -90,14 +114,14 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
 
     Existence degrees are generated in nondecreasing index order, which
     costs no classes; duplicates across the remaining relabellings are
-    removed by a minimal permuted table form.
+    removed by the invariant-refined canonical key of ``_table_key``.
+    Each class is represented by its least table in sorted order.
     """
     out: list[TSet] = []
     lo = 0 if include_empty else 1
     for n in range(lo, max_size + 1):
         found: list[tuple[tuple[int, ...], ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        perms = list(itertools.permutations(range(n)))
+        seen: set[tuple] = set()
         for diag in itertools.combinations_with_replacement(range(H.size), n):
             if n == 0:
                 found.append(())
@@ -137,7 +161,7 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
 
             rec(0)
         for tab in sorted(found):
-            key = min(_table_key(n, tab, p) for p in perms) if n else ()
+            key = _table_key(tab)
             if key in seen:
                 continue
             seen.add(key)

@@ -293,8 +293,8 @@ def _check_topos_axioms(config: SuiteConfig,
     rep = check_topos_axioms([P for _, P in pool.sheaves], J3,
                              config.enumeration_guard)
     return [
-        _row("topos-axioms", f"{name}:{inst}", ok)
-        for name, inst, ok in rep.rows
+        _row("topos-axioms", f"{name}:{inst}", ok, witness)
+        for name, inst, ok, witness in rep.rows
     ]
 
 

@@ -34,6 +34,7 @@ from .tset import (
     extensionally_equal,
     hom_set,
     identity_relation,
+    indiscernible_classes,
     localise_element,
     principal_tset,
     separated_quotient,
@@ -775,36 +776,45 @@ def check_classifier(parent: Presheaf, J: Topology, om: OmegaResult,
 @dataclass(frozen=True)
 class ToposReport:
     ok: bool
-    rows: tuple[tuple[str, str, bool], ...]
+    rows: tuple[tuple[str, str, bool, object], ...]   # witness on FAIL only
 
 
 def check_topos_axioms(pool: list[Presheaf], J: Topology,
                        guard: int = DEFAULT_GUARD) -> ToposReport:
     """Terminal, products, pullbacks, exponentials, classifier: existence
-    and universality over every instance drawn from the pool."""
+    and universality over every instance drawn from the pool.
+
+    Each row is (check, instance, ok, witness); the witness is None on
+    passing rows.  An adjunction row aggregates over every Z in the
+    pool; on failure it stops there and pairs that Z's name with its
+    witness."""
     if not pool:
         return ToposReport(True, ())
     H = pool[0].algebra
-    rows: list[tuple[str, str, bool]] = []
+    rows: list[tuple[str, str, bool, object]] = []
+
+    def row(check: str, inst: str, ok: bool, witness: object = None):
+        rows.append((check, inst, ok, None if ok else witness))
+
+    def sheaf_row(check: str, inst: str, P: Presheaf):
+        rep = is_sheaf(P, J)
+        row(check, inst, rep.ok, rep.witness)
 
     def name_of(P: Presheaf) -> str:
         return "F(" + ",".join(str(P.n(p)) for p in H.elements()) + ")"
 
     one = terminal_presheaf(H)
-    rows.append(("terminal-sheaf", "1", is_sheaf(one, J).ok))
+    sheaf_row("terminal-sheaf", "1", one)
     for P in pool:
-        rows.append((
-            "terminal-unique", name_of(P),
-            len(hom_presheaf(P, one, guard)) == 1,
-        ))
+        row("terminal-unique", name_of(P),
+            len(hom_presheaf(P, one, guard)) == 1)
 
     for A in pool:
         for B in pool:
             inst = f"{name_of(A)}x{name_of(B)}"
-            PQ = product_presheaf(A, B)
-            rows.append(("product-sheaf", inst, is_sheaf(PQ, J).ok))
-            ok, _ = product_universal_presheaf(A, B, pool, guard)
-            rows.append(("product-universal", inst, ok))
+            sheaf_row("product-sheaf", inst, product_presheaf(A, B))
+            row("product-universal", inst,
+                *product_universal_presheaf(A, B, pool, guard))
 
     for C in pool:
         for A in pool:
@@ -813,36 +823,36 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
                     for g in hom_presheaf(B, C, guard):
                         inst = f"{name_of(A)}->{name_of(C)}<-{name_of(B)}"
                         pb = pullback_presheaf(f, g)
-                        rows.append((
-                            "pullback-sheaf", inst, is_sheaf(pb.presheaf, J).ok
-                        ))
-                        ok, _ = pullback_universal_presheaf(f, g, pool, guard)
-                        rows.append(("pullback-universal", inst, ok))
+                        sheaf_row("pullback-sheaf", inst, pb.presheaf)
+                        row("pullback-universal", inst,
+                            *pullback_universal_presheaf(f, g, pool, guard))
+
+    def first_failure(results) -> tuple[bool, object]:
+        # (where, (ok, witness)) pairs; the first failure names its Z
+        for where, (ok, witness) in results:
+            if not ok:
+                return False, (where, witness)
+        return True, None
 
     for X in pool:
         for Y in pool:
             inst = f"{name_of(Y)}^{name_of(X)}"
             E = exponential(X, Y, guard)
-            rows.append(("exponential-sheaf", inst, is_sheaf(E.presheaf, J).ok))
-            rows.append(("evaluation-natural", inst, validate_nat(evaluation(E))))
-            adj_ok = True
-            for Z in pool:
-                ok, _ = check_adjunction(E, Z, guard)
-                adj_ok = adj_ok and ok
-            rows.append(("adjunction-bijection", inst, adj_ok))
-            nat_ok = True
-            for Z in pool:
-                for Z2 in pool:
-                    ok, _ = check_adjunction_natural(E, Z2, Z, guard)
-                    nat_ok = nat_ok and ok
-            rows.append(("adjunction-natural", inst, nat_ok))
+            sheaf_row("exponential-sheaf", inst, E.presheaf)
+            row("evaluation-natural", inst, validate_nat(evaluation(E)))
+            row("adjunction-bijection", inst, *first_failure(
+                (name_of(Z), check_adjunction(E, Z, guard)) for Z in pool))
+            row("adjunction-natural", inst, *first_failure(
+                (f"{name_of(Z2)}->{name_of(Z)}",
+                 check_adjunction_natural(E, Z2, Z, guard))
+                for Z in pool for Z2 in pool))
 
     om = omega(H, J)
-    rows.append(("omega-sheaf", "Omega", is_sheaf(om.presheaf, J).ok))
-    rows.append(("truth-natural", "true", validate_nat(om.truth)))
+    sheaf_row("omega-sheaf", "Omega", om.presheaf)
+    row("truth-natural", "true", validate_nat(om.truth))
     for A in pool:
-        ok, _ = check_classifier(A, J, om, guard)
-        rows.append(("classifier-unique", name_of(A), ok))
+        row("classifier-unique", name_of(A),
+            *check_classifier(A, J, om, guard))
 
     return ToposReport(all(r[2] for r in rows), tuple(rows))
 
@@ -931,39 +941,69 @@ def sg_check(pool: list[TSet], guard: int = DEFAULT_GUARD) -> SgReport:
     composites are compared extensionally (at the existence degree).
     On separated objects the two notions coincide, so this is the
     support-generator property there.
+
+    Instead of comparing every pair, each hom-set is partitioned by
+    refinement.  Arrows preserve existence, so two composites are
+    extensionally equal iff they agree after mapping every target
+    element to the first element of its indiscernible class.  All of
+    hom(A, B) starts as one block; for each level s in element order,
+    every block of two or more arrows is split by the canonical
+    composites with the probes out of the subterminal at s, until every
+    block is a singleton.  Probe hom-sets are computed lazily, for the
+    levels some pair still needs, exactly as a pairwise search would.
+    A pair left in one block is unseparated; the first such pair in
+    (f, g) order is the witness, and ``pairs_checked`` counts the pairs
+    a pairwise search visits up to it.
     """
     if not pool:
         return SgReport(True, 0, None)
     H = pool[0].algebra
-    probes: dict[tuple[int, int], list[TRelation]] = {}
+    probes: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def probe_maps(s: int, k: int) -> list[TRelation]:
+    def probe_points(s: int, k: int) -> tuple[int, ...]:
+        # the images of all probes s -> pool[k], concatenated
         if (s, k) not in probes:
-            probes[(s, k)] = hom_set(principal_tset(H, s), pool[k], guard)
+            probes[(s, k)] = tuple(
+                v for e in hom_set(principal_tset(H, s), pool[k], guard)
+                for v in e.mapping
+            )
         return probes[(s, k)]
 
     checked = 0
     for ka, A in enumerate(pool):
         for B in pool:
             homs = hom_set(A, B, guard)
-            for fi, f in enumerate(homs):
-                for g in homs[fi + 1:]:
-                    checked += 1
-                    found = False
-                    for s in H.elements():
-                        for e in probe_maps(s, ka):
-                            if not extensionally_equal(
-                                f.compose(e), g.compose(e)
-                            ):
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        return SgReport(
-                            False, checked,
-                            (repr(A), repr(B), f.mapping, g.mapping),
-                        )
+            m = len(homs)
+            if m < 2:
+                continue
+            first = [0] * B.size
+            for cls in indiscernible_classes(B):
+                for y in cls:
+                    first[y] = cls[0]
+            canon = [tuple(first[v] for v in f.mapping) for f in homs]
+            blocks = [list(range(m))]
+            for s in H.elements():
+                if not blocks:
+                    break
+                points = probe_points(s, ka)
+                split: list[list[int]] = []
+                for block in blocks:
+                    parts: dict[tuple[int, ...], list[int]] = {}
+                    for i in block:
+                        c = canon[i]
+                        parts.setdefault(tuple(c[v] for v in points),
+                                         []).append(i)
+                    split.extend(p for p in parts.values() if len(p) > 1)
+                blocks = split
+            if blocks:
+                fi, gi = min((b[0], b[1]) for b in blocks)
+                # pairs (f, g) with f < fi, then (fi, fi + 1) .. (fi, gi)
+                checked += fi * (m - 1) - fi * (fi - 1) // 2 + gi - fi
+                return SgReport(
+                    False, checked,
+                    (repr(A), repr(B), homs[fi].mapping, homs[gi].mapping),
+                )
+            checked += m * (m - 1) // 2
     return SgReport(True, checked, None)
 
 

@@ -1,7 +1,11 @@
 """Exhaustive instance enumeration up to isomorphism."""
 
+import itertools
+from functools import lru_cache
+
 import pytest
 
+from tsettopos import pools
 from tsettopos import (
     PosetSpec,
     algebra_pool,
@@ -89,6 +93,42 @@ def test_tset_pool_flags():
     assert len(loose) > len(plain)
     assert len(tset_pool(H, 2, include_empty=True,
                          require_postulate=False)) == len(loose) + 1
+
+
+def test_carrier_five_census_frozen():
+    got = {lbl: len(tset_pool(H, 5)) for lbl, H in algebra_pool(4)}
+    assert got == {"A2.0": 5, "A3.0": 12, "A4.0": 10, "A4.1": 16}
+
+
+@lru_cache(maxsize=None)
+def _relabellings(n):
+    return tuple(itertools.permutations(range(n)))
+
+
+def _least_relabelled_table(table):
+    """Reference dedup key: the least table over all n! relabellings."""
+    n = len(table)
+    return min(
+        tuple(table[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in _relabellings(n)
+    )
+
+
+@pytest.mark.parametrize("max_size,flags", [
+    (5, {}),
+    (4, {"require_postulate": False}),
+    (4, {"require_separated": False, "require_postulate": False,
+         "include_empty": True}),
+])
+def test_tset_pool_matches_full_relabelling_dedup(monkeypatch, max_size,
+                                                  flags):
+    # the refined key must keep the same representatives in the same order
+    for _, H in algebra_pool(4):
+        got = [t.id_table for t in tset_pool(H, max_size, **flags)]
+        with monkeypatch.context() as m:
+            m.setattr(pools, "_table_key", _least_relabelled_table)
+            want = [t.id_table for t in tset_pool(H, max_size, **flags)]
+        assert got == want
 
 
 def test_sheaf_pool_chain3_shapes_frozen():

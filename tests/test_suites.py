@@ -70,3 +70,32 @@ def test_failure_rows_carry_witnesses():
     for row in rep.results:
         assert row.status == "pass"
         assert row.witness is None
+
+
+
+def test_topos_axiom_failures_carry_witnesses(monkeypatch):
+    from tsettopos import topos
+
+    cfg = SuiteConfig(max_algebra_size=2, max_carrier_size=2,
+                      checks=("topos-axioms",))
+    sheaves = [P for _, P in generate_instance_pool(cfg).sheaves]
+    assert len(sheaves) >= 2
+    planted = ("planted", 7)
+    monkeypatch.setattr(topos, "check_classifier",
+                        lambda *args: (False, planted))
+    # every adjunction row first fails at its second Z
+    monkeypatch.setattr(
+        topos, "check_adjunction",
+        lambda E, Z, guard: (True, None) if Z == sheaves[0]
+        else (False, planted))
+    second = "F(" + ",".join(
+        str(sheaves[1].n(p)) for p in sheaves[1].algebra.elements()) + ")"
+    rows = {}
+    for r in run_suite(cfg).results:
+        rows.setdefault(r.instance.split(":")[0], []).append(r)
+    for r in rows["classifier-unique"]:
+        assert (r.status, r.witness) == ("fail", repr(planted))
+    for r in rows["adjunction-bijection"]:
+        assert (r.status, r.witness) == ("fail", repr((second, planted)))
+    for r in rows["terminal-unique"] + rows["adjunction-natural"]:
+        assert (r.status, r.witness) == ("pass", None)

@@ -1,9 +1,12 @@
 """Finite topos structure: limits, exponentials, classifier, refutation."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tsettopos import (
+    SgReport,
+    algebra_pool,
     chain3,
     check_adjunction,
     check_classifier,
@@ -24,10 +27,12 @@ from tsettopos import (
     hom_set,
     identity_relation,
     is_sheaf,
+    make_tset,
     mediate_product,
     mediators,
     omega,
     product,
+    principal_tset,
     pullback,
     set_like_tset,
     sg_check,
@@ -229,6 +234,64 @@ def test_sg_holds_on_pool_tsets():
         rep = sg_check(tset_pool(H, 3))
         assert rep.ok, rep.witness
         assert rep.pairs_checked > 0
+
+
+def _pairwise_sg_check(pool):
+    """Reference probe separation: every pair of arrows in every
+    hom-set, against every probe composite, in order."""
+    if not pool:
+        return SgReport(True, 0, None)
+    H = pool[0].algebra
+    checked = 0
+    for A in pool:
+        probes = [e for s in H.elements()
+                  for e in hom_set(principal_tset(H, s), A)]
+        for B in pool:
+            homs = hom_set(A, B)
+            for fi, f in enumerate(homs):
+                for g in homs[fi + 1:]:
+                    checked += 1
+                    if all(extensionally_equal(f.compose(e), g.compose(e))
+                           for e in probes):
+                        return SgReport(
+                            False, checked,
+                            (repr(A), repr(B), f.mapping, g.mapping),
+                        )
+    return SgReport(True, checked, None)
+
+
+def _with_copy(t, x):
+    """t plus an indiscernible copy of element x, appended last."""
+    rows = [row + (row[x],) for row in t.id_table]
+    rows.append(t.id_table[x] + (t.ee(x),))
+    return make_tset(t.algebra, t.elements + ("copy",), rows)
+
+
+# (label, pool, index of the first unseparated pair or None); the quasi
+# pools fail at their first pair, the doubled point at the 15th, and the
+# copied point deep inside a hom-set
+D4 = diamond()
+SET3 = set_like_tset(two_element(), 3)
+SG_CASES = [
+    (f"{lbl}/T4", tset_pool(H, 4), None) for lbl, H in algebra_pool(4)
+] + [
+    (f"{lbl}/Q2", tset_pool(H, 2, require_separated=False,
+                            require_postulate=False, include_empty=True), 1)
+    for lbl, H in algebra_pool(3)
+] + [
+    ("diamond/T3+doubled", tset_pool(D4, 3) + [doubled_point_tset(D4)], 15),
+    ("two_element/set3+copy", [SET3, _with_copy(SET3, 2)], 477),
+]
+
+
+@pytest.mark.parametrize("pool,fails_at", [c[1:] for c in SG_CASES],
+                         ids=[c[0] for c in SG_CASES])
+def test_sg_check_matches_pairwise_reference(pool, fails_at):
+    rep = sg_check(pool)
+    assert rep == _pairwise_sg_check(pool)
+    assert rep.ok == (fails_at is None)
+    if fails_at is not None:
+        assert rep.pairs_checked == fails_at
 
 
 def test_sg_failure_exhibit_doubled_point():
