@@ -30,9 +30,9 @@ from .fileio import (
 from .sheaves import is_sheaf, sheafify, validate_nat, validate_presheaf
 from .sites import territory_topology
 from .suites import (
-    VERSION,
     CheckResult,
     SuiteConfig,
+    render,
     report_json,
     report_text,
     run_suite,
@@ -52,24 +52,7 @@ BUILD_ERRORS = (CycleError, NoBound, NotDistributive)
 
 def _emit(rows: list[CheckResult], fmt: str, command: str,
           params: dict) -> int:
-    if fmt == "json":
-        results = []
-        for r in rows:
-            row = {"check": r.check, "instance": r.instance,
-                   "status": r.status}
-            if r.witness is not None:
-                row["witness"] = r.witness
-            results.append(row)
-        doc = {
-            "version": VERSION,
-            "config": {"command": command, **params},
-            "results": results,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        for r in rows:
-            mark = "PASS" if r.status == "pass" else "FAIL"
-            print(f"{mark} {r.check} {r.instance}")
+    sys.stdout.write(render(rows, fmt, {"command": command, **params}))
     return 0 if all(r.status == "pass" for r in rows) else 1
 
 
@@ -169,6 +152,8 @@ def _cmd_omega(args) -> int:
     J = territory_topology(H)
     om = omega(H, J)
     if args.element is not None:
+        if args.element not in H.names:
+            raise SchemaError(f"no element {args.element!r} in {path.name}")
         levels = [H.index(args.element)]
     else:
         levels = list(H.elements())
@@ -194,19 +179,17 @@ def _cmd_omega(args) -> int:
 def _cmd_laws(args) -> int:
     if args.config:
         doc = read_doc(Path(args.config))
-        if "checks" in doc:
-            doc["checks"] = tuple(doc["checks"])
         try:
+            if "checks" in doc:
+                doc["checks"] = tuple(doc["checks"])
             config = SuiteConfig(**doc)
         except (TypeError, ValueError) as e:
             raise SchemaError(f"bad suite config: {e}") from None
     else:
         config = SuiteConfig()
     rep = run_suite(config)
-    if args.format == "json":
-        sys.stdout.write(report_json(rep))
-    else:
-        sys.stdout.write(report_text(rep))
+    sys.stdout.write(report_json(rep) if args.format == "json"
+                     else report_text(rep))
     return 0 if rep.ok else 1
 
 
@@ -277,13 +260,7 @@ def run_command(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (SchemaError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except WorkbenchError as e:
+    except (WorkbenchError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

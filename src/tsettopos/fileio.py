@@ -9,10 +9,11 @@ One shape per structure, detected by its required keys:
   presheaf  {"algebra": <path or inline>, "sections": {level: [...]},
              "restrict": {"p>q": {src: dst}}}   (cover pairs only)
 
-Presheaf files carry restriction maps for Hasse cover pairs only;
-composites are derived along cover chains and cross-checked for path
-independence.  Referenced algebras may be inline objects or paths
-relative to the referencing file.
+Presheaf files carry restriction maps for Hasse cover pairs only, in
+the order of ``HeytingAlgebra.covers()``; ``make_presheaf`` composes
+the other pairs along cover chains and ``validate_presheaf`` catches
+files whose paths disagree.  Referenced algebras may be inline objects
+or paths relative to the referencing file.
 """
 
 from __future__ import annotations
@@ -44,24 +45,10 @@ def detect_kind(doc: object) -> str:
     return hits[0]
 
 
-def _covers(H: HeytingAlgebra) -> list[tuple[str, str]]:
-    out = []
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            if not any(
-                r not in (p, q) and H.le(q, r) and H.le(r, p)
-                for r in H.elements()
-            ):
-                out.append((H.name(q), H.name(p)))
-    return out
-
-
 def algebra_to_dict(H: HeytingAlgebra) -> dict:
     return {
         "elements": list(H.names),
-        "covers": [list(c) for c in _covers(H)],
+        "covers": [[H.name(lo), H.name(hi)] for lo, hi in H.covers()],
     }
 
 
@@ -71,7 +58,10 @@ def algebra_from_dict(doc: dict) -> HeytingAlgebra:
         covers = [(str(lo), str(hi)) for lo, hi in doc["covers"]]
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"algebra shape: {e}") from None
-    return build_algebra(PosetSpec(tuple(elements), tuple(covers)))
+    try:
+        return build_algebra(PosetSpec(tuple(elements), tuple(covers)))
+    except ValueError as e:     # duplicate or unknown element names
+        raise SchemaError(f"algebra: {e}") from None
 
 
 def _resolve_algebra(ref: object, base: Path | None) -> HeytingAlgebra:
@@ -143,9 +133,8 @@ def relation_from_dict(doc: dict, base: Path | None = None) -> TRelation:
 def presheaf_to_dict(P: Presheaf) -> dict:
     H = P.algebra
     restrict = {}
-    for q_name, p_name in _covers(H):
-        p, q = H.index(p_name), H.index(q_name)
-        restrict[f"{p_name}>{q_name}"] = {
+    for q, p in H.covers():
+        restrict[f"{H.name(p)}>{H.name(q)}"] = {
             P.section_name(p, i): P.section_name(q, P.restrict(p, q, i))
             for i in range(P.n(p))
         }
@@ -179,8 +168,7 @@ def presheaf_from_dict(doc: dict, base: Path | None = None, *,
         if len(set(sections[p])) != len(sections[p]):
             raise SchemaError(f"duplicate section names at {H.name(p)!r}")
 
-    covers = _covers(H)
-    want = {f"{p_name}>{q_name}" for q_name, p_name in covers}
+    want = {f"{H.name(p)}>{H.name(q)}" for q, p in H.covers()}
     raw_restrict = doc.get("restrict")
     if not isinstance(raw_restrict, dict):
         raise SchemaError("restrict must be an object")
@@ -190,44 +178,23 @@ def presheaf_from_dict(doc: dict, base: Path | None = None, *,
         )
 
     tables: dict[tuple[int, int], tuple[int, ...]] = {}
-    for q_name, p_name in covers:
-        p, q = H.index(p_name), H.index(q_name)
-        entry = raw_restrict[f"{p_name}>{q_name}"]
+    for q, p in H.covers():
+        key = f"{H.name(p)}>{H.name(q)}"
+        entry = raw_restrict[key]
         if not isinstance(entry, dict):
-            raise SchemaError(f"restrict {p_name}>{q_name} must be an object")
+            raise SchemaError(f"restrict {key} must be an object")
         row = []
-        for i, s in enumerate(sections[p]):
+        for s in sections[p]:
             if s not in entry:
-                raise SchemaError(f"restrict {p_name}>{q_name} misses {s!r}")
+                raise SchemaError(f"restrict {key} misses {s!r}")
             dst = str(entry[s])
             if dst not in sections[q]:
                 raise SchemaError(
-                    f"restrict {p_name}>{q_name} sends {s!r} to unknown {dst!r}"
+                    f"restrict {key} sends {s!r} to unknown {dst!r}"
                 )
             row.append(sections[q].index(dst))
         tables[(p, q)] = tuple(row)
-
-    def fill(p: int, q: int) -> tuple[int, ...]:
-        # compose down any cover chain; path independence is validated after
-        if (p, q) in tables:
-            return tables[(p, q)]
-        for r in H.elements():
-            if r in (p, q) or not (H.le(q, r) and H.le(r, p)):
-                continue
-            if (p, r) in tables:
-                lower = fill(r, q)
-                tables[(p, q)] = tuple(
-                    lower[v] for v in tables[(p, r)]
-                )
-                return tables[(p, q)]
-        raise SchemaError(f"no cover chain from {H.name(p)!r} to {H.name(q)!r}")
-
-    full = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q != p:
-                full[(p, q)] = fill(p, q)
-    P = make_presheaf(H, sections, full)
+    P = make_presheaf(H, sections, tables)
     if check:
         rep = validate_presheaf(P)
         if not rep.ok:
@@ -240,7 +207,7 @@ def presheaf_from_dict(doc: dict, base: Path | None = None, *,
 def read_doc(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise SchemaError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")

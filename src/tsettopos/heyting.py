@@ -2,20 +2,15 @@
 
 The order is given by cover pairs (lower, upper); reflexive-transitive
 closure, bottom/top inference, meets, joins and the frame law are all
-computed and checked at build time.  Elements are identified by their
-position in the input list; names are surface syntax only.
+computed and checked exactly at build time.  Elements are identified by
+their position in the input list; names are surface syntax only.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .errors import CycleError, NoBound, NotDistributive
-
-EXHAUSTIVE_LIMIT = 6          # full subset enumeration up to this many elements
-SAMPLE_FLOOR = 10_000         # sampled subsets when above the limit
-DEFAULT_SEED = 20260822
 
 
 @dataclass(frozen=True)
@@ -31,15 +26,6 @@ class PosetSpec:
 
 
 @dataclass(frozen=True)
-class AlgebraValidation:
-    """Which validation mode ran and how much ground it covered."""
-
-    mode: str                 # "exhaustive" | "sampled"
-    seed: int | None
-    subsets_checked: int
-
-
-@dataclass(frozen=True)
 class HeytingAlgebra:
     """A finite complete Heyting algebra with all tables precomputed."""
 
@@ -50,8 +36,8 @@ class HeytingAlgebra:
     meet_table: tuple[tuple[int, ...], ...]
     join_table: tuple[tuple[int, ...], ...]
     imp_table: tuple[tuple[int, ...], ...]
-    validation: AlgebraValidation
     _downs: tuple[tuple[int, ...], ...] = field(repr=False, default=())
+    _covers: tuple[tuple[int, int], ...] = field(repr=False, default=())
 
     @property
     def size(self) -> int:
@@ -97,6 +83,11 @@ class HeytingAlgebra:
     def down(self, p: int) -> tuple[int, ...]:
         return self._downs[p]
 
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Hasse cover pairs (lower, upper), grouped by upper element in
+        element order, lower elements ascending within a group."""
+        return self._covers
+
     def is_boolean(self) -> bool:
         return all(self.neg(self.neg(p)) == p for p in self.elements())
 
@@ -132,14 +123,13 @@ def _least(le, candidates) -> int | None:
     return None
 
 
-def build_algebra(spec: PosetSpec, *, seed: int = DEFAULT_SEED,
-                  sample_floor: int = SAMPLE_FLOOR) -> HeytingAlgebra:
+def build_algebra(spec: PosetSpec) -> HeytingAlgebra:
     """Build and validate a complete Heyting algebra from cover pairs.
 
     Raises CycleError if the cover closure is not a partial order, NoBound
     if bottom/top/meet/join inference fails, NotDistributive if the frame
-    law fails.  Validation of the join/distributivity laws is exhaustive
-    for sizes up to EXHAUSTIVE_LIMIT and seed-sampled above that.
+    law fails.  On a finite lattice the frame law is decided exactly by
+    pairwise distributivity: every join is a fold of binary joins.
     """
     names = spec.elements
     n = len(names)
@@ -183,44 +173,12 @@ def build_algebra(spec: PosetSpec, *, seed: int = DEFAULT_SEED,
                 raise NoBound("join", (names[p], names[q]))
             join[p][q] = j
 
-    def fold_join(mask: int) -> int:
-        out = bottom
-        x = 0
-        while mask:
-            if mask & 1:
-                out = join[out][x]
-            mask >>= 1
-            x += 1
-        return out
-
-    def check_subset(mask: int):
-        members = [x for x in range(n) if mask >> x & 1]
-        s = fold_join(mask)
-        # least upper bound, not merely an upper bound
-        for x in members:
-            if not le[x][s]:
-                raise NoBound("join", [names[x] for x in members])
-        for u in range(n):
-            if all(le[x][u] for x in members) and not le[s][u]:
-                raise NoBound("least upper bound", [names[x] for x in members])
-        for b in range(n):
-            rhs = bottom
-            for x in members:
-                rhs = join[rhs][meet[x][b]]
-            if meet[s][b] != rhs:
-                raise NotDistributive([names[x] for x in members], names[b])
-
-    if n <= EXHAUSTIVE_LIMIT:
-        count = 1 << n
-        for mask in range(count):
-            check_subset(mask)
-        validation = AlgebraValidation("exhaustive", None, count)
-    else:
-        rng = random.Random(seed)
-        count = max(sample_floor, 0)
-        for _ in range(count):
-            check_subset(rng.getrandbits(n))
-        validation = AlgebraValidation("sampled", seed, count)
+    # pairs {x, y} in ascending subset-mask order
+    for y in range(n):
+        for x in range(y):
+            for b in range(n):
+                if meet[join[x][y]][b] != join[meet[x][b]][meet[y][b]]:
+                    raise NotDistributive([names[x], names[y]], names[b])
 
     imp = [[0] * n for _ in range(n)]
     for p in range(n):
@@ -232,6 +190,12 @@ def build_algebra(spec: PosetSpec, *, seed: int = DEFAULT_SEED,
             imp[p][q] = s
 
     downs = tuple(tuple(x for x in range(n) if le[x][p]) for p in range(n))
+    covers = tuple(
+        (q, p) for p in range(n) for q in downs[p]
+        if q != p and not any(
+            r not in (p, q) and le[q][r] and le[r][p] for r in range(n)
+        )
+    )
     return HeytingAlgebra(
         names=names,
         le_table=tuple(tuple(row) for row in le),
@@ -240,8 +204,8 @@ def build_algebra(spec: PosetSpec, *, seed: int = DEFAULT_SEED,
         meet_table=tuple(tuple(row) for row in meet),
         join_table=tuple(tuple(row) for row in join),
         imp_table=tuple(tuple(row) for row in imp),
-        validation=validation,
         _downs=downs,
+        _covers=covers,
     )
 
 

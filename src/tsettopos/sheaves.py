@@ -24,9 +24,9 @@ HOM_GUARD = 10 ** 6
 class Presheaf:
     algebra: HeytingAlgebra
     sections: tuple[tuple[str, ...], ...]
-    restrictions: tuple[tuple[tuple[int, int], tuple[int, ...]], ...]
-    # restrictions holds ((p, q), table) for every pair q <= p, where
-    # table[i] is the q-index of the p-section i cut down to q.
+    tables: tuple[tuple[tuple[int, ...] | None, ...], ...]
+    # tables[p][q] exists for every q <= p and is None elsewhere;
+    # tables[p][q][i] is the q-index of the p-section i cut down to q.
 
     def n(self, p: int) -> int:
         return len(self.sections[p])
@@ -37,14 +37,8 @@ class Presheaf:
     def section_name(self, p: int, i: int) -> str:
         return self.sections[p][i]
 
-    def _table(self, p: int, q: int) -> tuple[int, ...]:
-        for (a, b), tab in self.restrictions:
-            if a == p and b == q:
-                return tab
-        raise KeyError((p, q))
-
     def restrict(self, p: int, q: int, i: int) -> int:
-        return self._table(p, q)[i]
+        return self.tables[p][q][i]
 
     def __repr__(self):
         shape = {self.algebra.name(p): len(self.sections[p])
@@ -55,18 +49,32 @@ class Presheaf:
 def make_presheaf(H: HeytingAlgebra, sections, restrict) -> Presheaf:
     """Normalise sections/restrictions into the canonical frozen layout.
 
-    `restrict` maps (p, q) pairs with q < p to index tuples; identity
-    rows are filled in automatically.
+    `restrict` maps (p, q) pairs with q < p to index tuples and must hold
+    at least every Hasse cover pair.  Given pairs are taken as they are;
+    identity rows are filled in, and every other pair is composed down a
+    chain of covers, each step to the first lower cover above q.
     """
     secs = tuple(tuple(s) for s in sections)
-    rows = []
-    for p in H.elements():
+    tables: list[list[tuple[int, ...] | None]] = [
+        [None] * H.size for _ in H.elements()
+    ]
+    for p, row in enumerate(tables):
+        row[p] = tuple(range(len(secs[p])))
+    for (p, q), tab in restrict.items():
+        tables[p][q] = tuple(tab)
+    for p, row in enumerate(tables):
         for q in H.down(p):
-            if q == p:
-                rows.append(((p, q), tuple(range(len(secs[p])))))
-            else:
-                rows.append(((p, q), tuple(restrict[(p, q)])))
-    return Presheaf(H, secs, tuple(rows))
+            if row[q] is None:
+                tab, r = row[p], p
+                while r != q:
+                    lo = next(lo for lo, hi in H.covers()
+                              if hi == r and H.le(q, lo))
+                    step = tables[r][lo]
+                    if step is None:
+                        raise KeyError((r, lo))
+                    tab, r = tuple(step[v] for v in tab), lo
+                row[q] = tab
+    return Presheaf(H, secs, tuple(map(tuple, tables)))
 
 
 @dataclass(frozen=True)
@@ -79,25 +87,26 @@ def validate_presheaf(P: Presheaf) -> PresheafReport:
     """Shape, range, identity and composition of restriction maps."""
     H = P.algebra
     bad: list[tuple[str, tuple]] = []
-    if len(P.sections) != H.size:
+    if len(P.sections) != H.size or len(P.tables) != H.size:
         return PresheafReport(False, (("shape", ()),))
-    pairs = {pair for pair, _ in P.restrictions}
+    pairs = {(p, q) for p, row in enumerate(P.tables)
+             for q, tab in enumerate(row) if tab is not None}
     wanted = {(p, q) for p in H.elements() for q in H.down(p)}
-    if pairs != wanted:
+    if pairs != wanted or any(len(row) != H.size for row in P.tables):
         return PresheafReport(False, (("pairs", tuple(sorted(pairs ^ wanted))),))
-    for (p, q), tab in P.restrictions:
-        if len(tab) != P.n(p) or any(not 0 <= v < P.n(q) for v in tab):
-            bad.append(("range", (H.name(p), H.name(q))))
+    T = P.tables
     for p in H.elements():
-        tab = P._table(p, p)
-        if tab != tuple(range(P.n(p))):
+        for q in H.down(p):
+            tab = T[p][q]
+            if len(tab) != P.n(p) or any(not 0 <= v < P.n(q) for v in tab):
+                bad.append(("range", (H.name(p), H.name(q))))
+    for p in H.elements():
+        if T[p][p] != tuple(range(P.n(p))):
             bad.append(("identity", (H.name(p),)))
     for p in H.elements():
         for q in H.down(p):
             for r in H.down(q):
-                via = [P.restrict(q, r, P.restrict(p, q, i)) for i in range(P.n(p))]
-                direct = [P.restrict(p, r, i) for i in range(P.n(p))]
-                if via != direct:
+                if tuple(T[q][r][v] for v in T[p][q]) != T[p][r]:
                     bad.append(("composition", (H.name(p), H.name(q), H.name(r))))
     return PresheafReport(not bad, tuple(bad))
 
@@ -409,8 +418,42 @@ def validate_nat(nt: NatTransform) -> bool:
     return True
 
 
-def _descending(H: HeytingAlgebra) -> list[int]:
-    return sorted(H.elements(), key=lambda p: (-len(H.down(p)), p))
+def natural_families(P: Presheaf, Q: Presheaf,
+                     levels) -> list[tuple[tuple[int, ...], ...]]:
+    """Every natural family of maps P(q) -> Q(q) over the down-closed
+    set `levels` (ascending), as component tuples aligned with `levels`,
+    in ascending order.
+
+    Levels are chosen top-down (larger down-sets first), each candidate
+    component pruned against the levels above it chosen so far."""
+    H = P.algebra
+    order = sorted(levels, key=lambda q: (-len(H.down(q)), q))
+    chosen: dict[int, tuple[int, ...]] = {}
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def natural_with(p: int, comp: tuple[int, ...]) -> bool:
+        # only levels above p precede it in the order
+        for q, other in chosen.items():
+            if H.le(p, q):
+                src, dst = P.tables[q][p], Q.tables[q][p]
+                if any(dst[other[i]] != comp[v] for i, v in enumerate(src)):
+                    return False
+        return True
+
+    def rec(k: int):
+        if k == len(order):
+            out.append(tuple(chosen[q] for q in levels))
+            return
+        p = order[k]
+        for comp in itertools.product(range(Q.n(p)), repeat=P.n(p)):
+            if natural_with(p, comp):
+                chosen[p] = comp
+                rec(k + 1)
+                del chosen[p]
+
+    rec(0)
+    out.sort()
+    return out
 
 
 def hom_presheaf(P: Presheaf, Q: Presheaf,
@@ -427,41 +470,8 @@ def hom_presheaf(P: Presheaf, Q: Presheaf,
             raise SizeGuard("presheaf hom enumeration", total, guard)
         if Q.n(p) == 0 and P.n(p) > 0:
             return []
-    order = _descending(H)
-    chosen: dict[int, tuple[int, ...]] = {}
-    out: list[NatTransform] = []
-
-    def compatible_with(p: int, comp: tuple[int, ...]) -> bool:
-        for q, other in chosen.items():
-            if H.le(q, p):
-                if any(
-                    Q.restrict(p, q, comp[i]) != other[P.restrict(p, q, i)]
-                    for i in range(P.n(p))
-                ):
-                    return False
-            if H.le(p, q):
-                if any(
-                    Q.restrict(q, p, other[i]) != comp[P.restrict(q, p, i)]
-                    for i in range(P.n(q))
-                ):
-                    return False
-        return True
-
-    def rec(k: int):
-        if k == len(order):
-            comps = tuple(chosen[p] for p in H.elements())
-            out.append(NatTransform(P, Q, comps))
-            return
-        p = order[k]
-        for comp in itertools.product(range(Q.n(p)), repeat=P.n(p)):
-            if compatible_with(p, comp):
-                chosen[p] = comp
-                rec(k + 1)
-                del chosen[p]
-
-    rec(0)
-    out.sort(key=lambda nt: nt.components)
-    return out
+    return [NatTransform(P, Q, comps)
+            for comps in natural_families(P, Q, H.elements())]
 
 
 def find_presheaf_iso(P: Presheaf, Q: Presheaf,
@@ -483,11 +493,7 @@ def find_presheaf_iso(P: Presheaf, Q: Presheaf,
 def representable(H: HeytingAlgebra, s: int) -> Presheaf:
     """One section over every element below s, none elsewhere."""
     sections = tuple(("*",) if H.le(q, s) else () for q in H.elements())
-    restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q != p:
-                restrict[(p, q)] = (0,) if H.le(p, s) else ()
+    restrict = {(p, q): (0,) if H.le(p, s) else () for q, p in H.covers()}
     return make_presheaf(H, sections, restrict)
 
 
@@ -497,34 +503,56 @@ def terminal_presheaf(H: HeytingAlgebra) -> Presheaf:
 
 def empty_presheaf(H: HeytingAlgebra) -> Presheaf:
     sections = tuple(() for _ in H.elements())
-    restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q != p:
-                restrict[(p, q)] = ()
-    return make_presheaf(H, sections, restrict)
+    return make_presheaf(H, sections, {(p, q): () for q, p in H.covers()})
 
 
-def product_presheaf(P: Presheaf, Q: Presheaf) -> Presheaf:
-    """Sectionwise pairs, restriction componentwise."""
+def _sectionwise_pairs(P: Presheaf, Q: Presheaf, agree):
+    """Pairs (i, j) of sections over the same level with agree(p, i, j),
+    restriction componentwise; returns the presheaf and the pair lists.
+    `agree` must be stable under restriction; None admits every pair."""
     H = P.algebra
-    pairs = {
-        p: [(i, j) for i in range(P.n(p)) for j in range(Q.n(p))]
+    pairs = [
+        [(i, j) for i in range(P.n(p)) for j in range(Q.n(p))
+         if agree is None or agree(p, i, j)]
         for p in H.elements()
-    }
+    ]
     sections = tuple(
         tuple(f"({P.section_name(p, i)},{Q.section_name(p, j)})"
               for i, j in pairs[p])
         for p in H.elements()
     )
     restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            pos = {pair: k for k, pair in enumerate(pairs[q])}
-            restrict[(p, q)] = tuple(
-                pos[(P.restrict(p, q, i), Q.restrict(p, q, j))]
-                for i, j in pairs[p]
-            )
-    return make_presheaf(H, sections, restrict)
+    for q, p in H.covers():
+        pos = {pair: k for k, pair in enumerate(pairs[q])}
+        left, right = P.tables[p][q], Q.tables[p][q]
+        restrict[(p, q)] = tuple(
+            pos[(left[i], right[j])] for i, j in pairs[p]
+        )
+    return make_presheaf(H, sections, restrict), pairs
+
+
+def product_presheaf(P: Presheaf, Q: Presheaf) -> Presheaf:
+    """P x Q, the pullback over the terminal presheaf: every pair of
+    sections over a level, restriction componentwise."""
+    return _sectionwise_pairs(P, Q, None)[0]
+
+
+@dataclass(frozen=True)
+class PresheafPullback:
+    presheaf: Presheaf
+    proj1: NatTransform
+    proj2: NatTransform
+
+
+def pullback_presheaf(f: NatTransform, g: NatTransform) -> PresheafPullback:
+    """Sectionwise pairs agreeing in the shared codomain."""
+    if f.target != g.target:
+        raise ValueError("pullback needs a shared codomain")
+    P, Q = f.source, g.source
+    PB, pairs = _sectionwise_pairs(
+        P, Q, lambda p, i, j: f.components[p][i] == g.components[p][j])
+    c1 = tuple(tuple(i for i, _ in level) for level in pairs)
+    c2 = tuple(tuple(j for _, j in level) for level in pairs)
+    return PresheafPullback(
+        PB, NatTransform(PB, P, c1), NatTransform(PB, Q, c2)
+    )

@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 
 from .errors import NotDistributive
 from .heyting import (
-    DEFAULT_SEED,
     HeytingAlgebra,
     build_algebra,
     chain3,
@@ -70,7 +69,6 @@ class SuiteConfig:
     max_algebra_size: int = 4
     max_carrier_size: int = 3
     enumeration_guard: int = 10 ** 6
-    seed: int = DEFAULT_SEED
     checks: tuple[str, ...] = CHECKS
 
     def __post_init__(self):
@@ -350,27 +348,30 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     return SuiteReport(VERSION, config, tuple(results))
 
 
-def report_to_dict(rep: SuiteReport) -> dict:
-    results = []
-    for r in rep.results:
-        row = {"check": r.check, "instance": r.instance, "status": r.status}
-        if r.witness is not None:
-            row["witness"] = r.witness
-        results.append(row)
-    return {
-        "version": rep.version,
-        "config": asdict(rep.config) | {"checks": list(rep.config.checks)},
-        "results": results,
-    }
+def render(results, fmt: str, config: dict) -> str:
+    """Report rows as text lines "PASS|FAIL <check> <instance>", or with
+    fmt "json" as the document {version, config, results}, each row
+    carrying its witness when it has one."""
+    if fmt == "json":
+        rows = []
+        for r in results:
+            row = {"check": r.check, "instance": r.instance, "status": r.status}
+            if r.witness is not None:
+                row["witness"] = r.witness
+            rows.append(row)
+        doc = {"version": VERSION, "config": config, "results": rows}
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [
+        f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.check} {r.instance}"
+        for r in results
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def report_json(rep: SuiteReport) -> str:
-    return json.dumps(report_to_dict(rep), indent=2) + "\n"
+    config = asdict(rep.config) | {"checks": list(rep.config.checks)}
+    return render(rep.results, "json", config)
 
 
 def report_text(rep: SuiteReport) -> str:
-    lines = [
-        f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.check} {r.instance}"
-        for r in rep.results
-    ]
-    return "\n".join(lines) + "\n"
+    return render(rep.results, "text", {})

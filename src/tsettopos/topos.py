@@ -12,7 +12,7 @@ subterminals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotSubobject, SizeGuard
 from .heyting import HeytingAlgebra, two_element
@@ -22,7 +22,9 @@ from .sheaves import (
     hom_presheaf,
     is_sheaf,
     make_presheaf,
+    natural_families,
     product_presheaf,
+    pullback_presheaf,
     terminal_presheaf,
     validate_nat,
 )
@@ -274,18 +276,6 @@ def check_pullback_universal(pb: PullbackResult, f: TRelation, g: TRelation,
 
 # ----------------------------------------------- presheaf-level structure
 
-def presheaf_projections(P: Presheaf, Q: Presheaf,
-                         PQ: Presheaf) -> tuple[NatTransform, NatTransform]:
-    H = P.algebra
-    c1 = []
-    c2 = []
-    for p in H.elements():
-        n = Q.n(p)
-        c1.append(tuple(k // n for k in range(PQ.n(p))))
-        c2.append(tuple(k % n for k in range(PQ.n(p))))
-    return (NatTransform(PQ, P, tuple(c1)), NatTransform(PQ, Q, tuple(c2)))
-
-
 def pair_nat(f: NatTransform, g: NatTransform, PQ: Presheaf) -> NatTransform:
     """Mediator Z -> P x Q induced by components (f, g)."""
     Z = f.source
@@ -302,8 +292,13 @@ def pair_nat(f: NatTransform, g: NatTransform, PQ: Presheaf) -> NatTransform:
 
 def product_universal_presheaf(P: Presheaf, Q: Presheaf, pool: list[Presheaf],
                                guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    PQ = product_presheaf(P, Q)
-    pr1, pr2 = presheaf_projections(P, Q, PQ)
+    # P x Q with its projections, as the pullback over the terminal
+    H = P.algebra
+    one = terminal_presheaf(H)
+    to_one = [NatTransform(F, one, tuple((0,) * F.n(p) for p in H.elements()))
+              for F in (P, Q)]
+    prod = pullback_presheaf(*to_one)
+    PQ, pr1, pr2 = prod.presheaf, prod.proj1, prod.proj2
     for W in pool:
         homs_p = hom_presheaf(W, P, guard)
         homs_q = hom_presheaf(W, Q, guard)
@@ -320,50 +315,6 @@ def product_universal_presheaf(P: Presheaf, Q: Presheaf, pool: list[Presheaf],
                 if ms[0].components != pair_nat(f, g, PQ).components:
                     return False, (repr(W), f.components, g.components, "mediator")
     return True, None
-
-
-@dataclass(frozen=True)
-class PresheafPullback:
-    presheaf: Presheaf
-    proj1: NatTransform
-    proj2: NatTransform
-
-
-def pullback_presheaf(f: NatTransform, g: NatTransform) -> PresheafPullback:
-    """Sectionwise pairs agreeing in the shared codomain."""
-    if f.target != g.target:
-        raise ValueError("pullback needs a shared codomain")
-    P, Q = f.source, g.source
-    H = P.algebra
-    pairs = {
-        p: [
-            (i, j)
-            for i in range(P.n(p)) for j in range(Q.n(p))
-            if f.components[p][i] == g.components[p][j]
-        ]
-        for p in H.elements()
-    }
-    sections = tuple(
-        tuple(f"({P.section_name(p, i)},{Q.section_name(p, j)})"
-              for i, j in pairs[p])
-        for p in H.elements()
-    )
-    restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            pos = {pair: k for k, pair in enumerate(pairs[q])}
-            restrict[(p, q)] = tuple(
-                pos[(P.restrict(p, q, i), Q.restrict(p, q, j))]
-                for i, j in pairs[p]
-            )
-    PB = make_presheaf(H, sections, restrict)
-    c1 = tuple(tuple(i for i, _ in pairs[p]) for p in H.elements())
-    c2 = tuple(tuple(j for _, j in pairs[p]) for p in H.elements())
-    return PresheafPullback(
-        PB, NatTransform(PB, P, c1), NatTransform(PB, Q, c2)
-    )
 
 
 def pullback_universal_presheaf(f: NatTransform, g: NatTransform,
@@ -393,21 +344,21 @@ class ExponentialResult:
     presheaf: Presheaf
     base: Presheaf
     power: Presheaf
-    # families[p][k] lists (q, component tuple) pairs, ascending q, one
-    # entry per q <= p: the k-th section as an actual family of maps.
-    families: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], ...], ...]
+    # families[p][k] is the k-th section over p as an actual family of
+    # maps: one component tuple per q in H.down(p), in that order.
+    families: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
+    # index[p] maps each family over p back to its section index k
+    index: tuple[dict, ...] = field(compare=False, repr=False)
 
     def component_at(self, p: int, k: int, q: int) -> tuple[int, ...]:
-        for qq, comps in self.families[p][k]:
-            if qq == q:
-                return comps
-        raise KeyError((p, k, q))
+        return self.families[p][k][self.base.algebra.down(p).index(q)]
 
 
 def exponential(X: Presheaf, Y: Presheaf,
                 guard: int = DEFAULT_GUARD) -> ExponentialResult:
     """Sections over p are the natural families of maps X(q) -> Y(q) for
-    q <= p; restriction is truncation of the family."""
+    q <= p, i.e. hom(X restricted to p, Y restricted to p); restriction
+    is truncation of the family."""
     H = X.algebra
     if H != Y.algebra:
         raise ValueError("exponential needs one algebra")
@@ -418,66 +369,24 @@ def exponential(X: Presheaf, Y: Presheaf,
             if total > guard:
                 raise SizeGuard("exponential enumeration", total, guard)
 
-    fams_at: list[list[tuple]] = []
-    for p in H.elements():
-        downs = list(H.down(p))
-        order = sorted(downs, key=lambda q: (-len(H.down(q)), q))
-        chosen: dict[int, tuple[int, ...]] = {}
-        found: list[tuple] = []
-
-        def natural_with(q: int, comp: tuple[int, ...]) -> bool:
-            for r, other in chosen.items():
-                if H.le(r, q):
-                    if any(
-                        Y.restrict(q, r, comp[i]) != other[X.restrict(q, r, i)]
-                        for i in range(X.n(q))
-                    ):
-                        return False
-                if H.le(q, r):
-                    if any(
-                        Y.restrict(r, q, other[i]) != comp[X.restrict(r, q, i)]
-                        for i in range(X.n(r))
-                    ):
-                        return False
-            return True
-
-        def rec(k: int):
-            if k == len(order):
-                found.append(tuple((q, chosen[q]) for q in downs))
-                return
-            q = order[k]
-            for comp in itertools.product(range(Y.n(q)), repeat=X.n(q)):
-                if natural_with(q, comp):
-                    chosen[q] = comp
-                    rec(k + 1)
-                    del chosen[q]
-
-        rec(0)
-        found.sort()
-        fams_at.append(found)
-
+    families = tuple(
+        tuple(natural_families(X, Y, H.down(p))) for p in H.elements()
+    )
+    index = tuple(
+        {fam: k for k, fam in enumerate(fams)} for fams in families
+    )
     sections = tuple(
-        tuple(f"{H.name(p)}^f{k}" for k in range(len(fams_at[p])))
+        tuple(f"{H.name(p)}^f{k}" for k in range(len(families[p])))
         for p in H.elements()
     )
-    index_at = [
-        {fam: k for k, fam in enumerate(fams_at[p])} for p in H.elements()
-    ]
     restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            below = set(H.down(q))
-            row = []
-            for fam in fams_at[p]:
-                cut = tuple((r, comps) for r, comps in fam if r in below)
-                row.append(index_at[q][cut])
-            restrict[(p, q)] = tuple(row)
+    for q, p in H.covers():
+        keep = [k for k, r in enumerate(H.down(p)) if H.le(r, q)]
+        restrict[(p, q)] = tuple(
+            index[q][tuple(fam[k] for k in keep)] for fam in families[p]
+        )
     E = make_presheaf(H, sections, restrict)
-    return ExponentialResult(
-        E, X, Y, tuple(tuple(f) for f in fams_at)
-    )
+    return ExponentialResult(E, X, Y, families, index)
 
 
 def evaluation(E: ExponentialResult) -> NatTransform:
@@ -501,25 +410,18 @@ def transpose(E: ExponentialResult, Z: Presheaf,
     """Currying: k: Z x X -> Y becomes Z -> Y^X."""
     X = E.base
     H = X.algebra
-    fams_index = [
-        {fam: i for i, fam in enumerate(E.families[p])}
-        for p in H.elements()
-    ]
     comps = []
     for p in H.elements():
         row = []
         for z in range(Z.n(p)):
             fam = tuple(
-                (
-                    q,
-                    tuple(
-                        k.components[q][Z.restrict(p, q, z) * X.n(q) + x]
-                        for x in range(X.n(q))
-                    ),
+                tuple(
+                    k.components[q][Z.restrict(p, q, z) * X.n(q) + x]
+                    for x in range(X.n(q))
                 )
                 for q in H.down(p)
             )
-            row.append(fams_index[p][fam])
+            row.append(E.index[p][fam])
         comps.append(tuple(row))
     return NatTransform(Z, E.presheaf, tuple(comps))
 
@@ -622,14 +524,9 @@ def omega(H: HeytingAlgebra, J: Topology) -> OmegaResult:
         for p in H.elements()
     )
     restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            below = frozenset(H.down(q))
-            restrict[(p, q)] = tuple(
-                sieves[q].index(m & below) for m in sieves[p]
-            )
+    for q, p in H.covers():
+        below = frozenset(H.down(q))
+        restrict[(p, q)] = tuple(sieves[q].index(m & below) for m in sieves[p])
     om = make_presheaf(H, sections, restrict)
     one = terminal_presheaf(H)
     truth_comps = tuple(
@@ -671,14 +568,10 @@ def subobject_from_mask(parent: Presheaf,
         tuple(parent.section_name(p, i) for i in mask[p])
         for p in H.elements()
     )
-    restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            restrict[(p, q)] = tuple(
-                pos[q][parent.restrict(p, q, i)] for i in mask[p]
-            )
+    restrict = {
+        (p, q): tuple(pos[q][parent.restrict(p, q, i)] for i in mask[p])
+        for q, p in H.covers()
+    }
     sub = make_presheaf(H, sections, restrict)
     inc = NatTransform(
         sub, parent, tuple(tuple(mask[p]) for p in H.elements())
@@ -1025,12 +918,8 @@ def doubled_point_presheaf(H: HeytingAlgebra) -> Presheaf:
     sections = tuple(
         ("x", "y") if p == H.top else ("*",) for p in H.elements()
     )
-    restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            restrict[(p, q)] = (0, 0) if p == H.top else (0,)
+    restrict = {(p, q): (0, 0) if p == H.top else (0,)
+                for q, p in H.covers()}
     return make_presheaf(H, sections, restrict)
 
 

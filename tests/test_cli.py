@@ -126,6 +126,26 @@ def test_omega_unknown_element(files):
     assert run_command(["omega", str(files["chain3"]), "-p", "zz"]) == 2
 
 
+def test_duplicate_name_algebra_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"elements": ["mu", "mu"],
+                                "covers": [["mu", "mu"]]}))
+    for command in ("validate", "omega"):
+        assert run_command([command, str(path)]) == 2
+        assert "duplicate element names" in capsys.readouterr().err
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    from tsettopos import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+
+    monkeypatch.setattr(cli, "exposition_counterexample", broken)
+    with pytest.raises(ValueError, match="internal defect"):
+        run_command(["counterexample", "exposition"])
+
+
 def test_counterexample_output(capsys):
     assert run_command(["counterexample", "exposition",
                         "--format", "json"]) == 0
@@ -153,6 +173,8 @@ def test_laws_bad_config(tmp_path):
     cfg.write_text(json.dumps({"max_algebra_size": 99}))
     assert run_command(["laws", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"checks": ["no-such-check"]}))
+    assert run_command(["laws", "--config", str(cfg)]) == 2
+    cfg.write_text(json.dumps({"seed": 20260822}))
     assert run_command(["laws", "--config", str(cfg)]) == 2
 
 

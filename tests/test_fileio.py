@@ -66,7 +66,7 @@ def test_presheaf_round_trip():
     assert validate_presheaf(back).ok
     for p in H.elements():
         assert back.n(p) == P.n(p)
-    assert back.restrictions == P.restrictions
+    assert back.tables == P.tables
 
 
 def test_detect_kind():

@@ -1,6 +1,10 @@
 """Suite runner: config validation, pool generation, report formats."""
 
+import hashlib
+import importlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +67,27 @@ def test_report_formats_agree():
     assert len(doc["results"]) == len(text.strip().splitlines())
     assert doc["version"] == rep.version
     assert doc["config"]["max_algebra_size"] == 2
+
+
+def test_default_text_report_bytes_frozen():
+    text = report_text(run_suite(SuiteConfig()))
+    assert len(text.splitlines()) == 344
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ed63071ebfb41e19a219de92bb27683adcfe930cd560337a00db7696d323147f")
+
+
+def test_traced_layer_names_resolve():
+    # the benchmark's --trace 1 wraps these names in their home modules
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for layer, names in spans.LAYERS.items():
+        home = importlib.import_module(f"tsettopos.{layer}")
+        for name in names:
+            assert callable(getattr(home, name, None)), f"{layer}.{name}"
+    with spans.Tracer():
+        pass
 
 
 def test_failure_rows_carry_witnesses():

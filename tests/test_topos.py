@@ -1,5 +1,7 @@
 """Finite topos structure: limits, exponentials, classifier, refutation."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,12 +29,14 @@ from tsettopos import (
     hom_set,
     identity_relation,
     is_sheaf,
+    make_presheaf,
     make_tset,
     mediate_product,
     mediators,
     omega,
     product,
     principal_tset,
+    product_presheaf,
     pullback,
     set_like_tset,
     sg_check,
@@ -50,6 +54,7 @@ from tsettopos import (
     validate_tset,
 )
 from strategies import ALGEBRAS, tsets
+from tsettopos.topos import pullback_presheaf
 
 CH = chain3()
 CH_J = territory_topology(CH)
@@ -219,6 +224,138 @@ def test_hom_counts_match_adjunction_cardinality():
     lhs = hom_presheaf(product_presheaf(Z, X), Y)
     rhs = hom_presheaf(Z, E.presheaf)
     assert len(lhs) == len(rhs)
+
+
+def _natural_with_exponential(X, Y):
+    """Reference exponential: per level p, a separate top-down search
+    over H.down(p) with a two-sided naturality check, the families kept
+    as (q, component) pairs, restriction tabled for every pair q < p."""
+    H = X.algebra
+    fams_at = []
+    for p in H.elements():
+        downs = list(H.down(p))
+        order = sorted(downs, key=lambda q: (-len(H.down(q)), q))
+        chosen = {}
+        found = []
+
+        def natural_with(q, comp):
+            for r, other in chosen.items():
+                if H.le(r, q) and any(
+                    Y.restrict(q, r, comp[i]) != other[X.restrict(q, r, i)]
+                    for i in range(X.n(q))
+                ):
+                    return False
+                if H.le(q, r) and any(
+                    Y.restrict(r, q, other[i]) != comp[X.restrict(r, q, i)]
+                    for i in range(X.n(r))
+                ):
+                    return False
+            return True
+
+        def rec(k):
+            if k == len(order):
+                found.append(tuple((q, chosen[q]) for q in downs))
+                return
+            q = order[k]
+            for comp in itertools.product(range(Y.n(q)), repeat=X.n(q)):
+                if natural_with(q, comp):
+                    chosen[q] = comp
+                    rec(k + 1)
+                    del chosen[q]
+
+        rec(0)
+        found.sort()
+        fams_at.append(found)
+    index_at = [{fam: k for k, fam in enumerate(f)} for f in fams_at]
+    sections = [[f"{H.name(p)}^f{k}" for k in range(len(fams_at[p]))]
+                for p in H.elements()]
+    restrict = {}
+    for p in H.elements():
+        for q in H.down(p):
+            if q != p:
+                below = set(H.down(q))
+                restrict[(p, q)] = tuple(
+                    index_at[q][tuple((r, c) for r, c in fam if r in below)]
+                    for fam in fams_at[p]
+                )
+    return fams_at, make_presheaf(H, sections, restrict)
+
+
+def _sectionwise_pairs_reference(P, Q, agree):
+    """Reference pair presheaf: restriction tabled for every pair q < p,
+    projections read off the pair lists."""
+    H = P.algebra
+    pairs = {
+        p: [(i, j) for i in range(P.n(p)) for j in range(Q.n(p))
+            if agree(p, i, j)]
+        for p in H.elements()
+    }
+    sections = [[f"({P.section_name(p, i)},{Q.section_name(p, j)})"
+                 for i, j in pairs[p]] for p in H.elements()]
+    restrict = {}
+    for p in H.elements():
+        for q in H.down(p):
+            if q != p:
+                pos = {pair: k for k, pair in enumerate(pairs[q])}
+                restrict[(p, q)] = tuple(
+                    pos[(P.restrict(p, q, i), Q.restrict(p, q, j))]
+                    for i, j in pairs[p]
+                )
+    c1 = tuple(tuple(i for i, _ in pairs[p]) for p in H.elements())
+    c2 = tuple(tuple(j for _, j in pairs[p]) for p in H.elements())
+    return make_presheaf(H, sections, restrict), c1, c2
+
+
+TERRITORY_POOLS = [
+    (name, H, sheaf_pool(H, territory_topology(H), 3))
+    for name, H in (("chain3", CH), ("diamond", diamond()))
+]
+
+
+@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
+                         ids=[c[0] for c in TERRITORY_POOLS])
+def test_exponential_matches_natural_with_reference(H, pool):
+    for X in pool:
+        for Y in pool:
+            E = exponential(X, Y)
+            fams_at, ref = _natural_with_exponential(X, Y)
+            assert E.families == tuple(
+                tuple(tuple(c for _, c in fam) for fam in fams_at[p])
+                for p in H.elements()
+            )
+            assert E.presheaf == ref
+            for p in H.elements():
+                for k, fam in enumerate(fams_at[p]):
+                    for q, comps in fam:
+                        assert E.component_at(p, k, q) == comps
+
+
+@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
+                         ids=[c[0] for c in TERRITORY_POOLS])
+def test_products_and_pullbacks_match_sectionwise_reference(H, pool):
+    one = terminal_presheaf(H)
+    for P in pool:
+        for Q in pool:
+            ref, c1, c2 = _sectionwise_pairs_reference(
+                P, Q, lambda p, i, j: True)
+            assert product_presheaf(P, Q) == ref
+            # the product as the pullback over the terminal presheaf
+            pb = pullback_presheaf(hom_presheaf(P, one)[0],
+                                   hom_presheaf(Q, one)[0])
+            assert pb.presheaf == ref
+            assert (pb.proj1.components, pb.proj2.components) == (c1, c2)
+    for C in pool:
+        for A in pool:
+            for B in pool:
+                for f in hom_presheaf(A, C):
+                    for g in hom_presheaf(B, C):
+                        ref, c1, c2 = _sectionwise_pairs_reference(
+                            A, B, lambda p, i, j:
+                            f.components[p][i] == g.components[p][j])
+                        pb = pullback_presheaf(f, g)
+                        assert pb.presheaf == ref
+                        assert pb.proj1.components == c1
+                        assert pb.proj2.components == c2
 
 
 def test_topos_axioms_smoke():
