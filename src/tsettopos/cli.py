@@ -27,6 +27,7 @@ from .fileio import (
     structure_to_dict,
     tset_from_dict,
 )
+from .heyting import NAMED_ALGEBRAS
 from .sheaves import is_sheaf, sheafify, validate_nat, validate_presheaf
 from .sites import territory_topology
 from .suites import (
@@ -194,13 +195,15 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    rep = exposition_counterexample()
+    rep = exposition_counterexample(NAMED_ALGEBRAS[args.algebra](),
+                                    proper_size=args.size)
+    verdict = (">= 2; commutativity-only universality refuted"
+               if rep.refuted else "< 2; not refuted at this size")
     rows = [
         CheckResult(
             "counterexample", "mediating-maps",
             "pass" if rep.refuted else "fail",
-            f"mediating maps: {rep.flawed_count} >= 2; "
-            "commutativity-only universality refuted",
+            f"mediating maps: {rep.flawed_count} {verdict}",
         ),
         CheckResult(
             "counterexample", "corrected-graph",
@@ -209,7 +212,16 @@ def _cmd_counterexample(args) -> int:
             f"({rep.corrected_count} mediator)",
         ),
     ]
-    return _emit(rows, args.format, "counterexample", {"mode": args.mode})
+    return _emit(rows, args.format, "counterexample",
+                 {"mode": args.mode, "algebra": args.algebra,
+                  "size": args.size})
+
+
+def _size(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -249,6 +261,10 @@ def _parser() -> argparse.ArgumentParser:
     p = add("counterexample", _cmd_counterexample,
             help="reproduce the mediation counterexample")
     p.add_argument("mode", choices=("exposition",))
+    p.add_argument("--algebra", choices=sorted(NAMED_ALGEBRAS),
+                   default="two_element")
+    p.add_argument("--size", type=_size, default=2,
+                   help="points in the base object (0 and 1 are degenerate)")
 
     return parser
 

@@ -20,10 +20,6 @@ class PosetSpec:
     elements: tuple[str, ...]
     covers: tuple[tuple[str, str], ...]
 
-    @staticmethod
-    def make(elements, covers) -> "PosetSpec":
-        return PosetSpec(tuple(elements), tuple((a, b) for a, b in covers))
-
 
 @dataclass(frozen=True)
 class HeytingAlgebra:
@@ -66,12 +62,6 @@ class HeytingAlgebra:
         out = self.bottom
         for s in subset:
             out = self.join_table[out][s]
-        return out
-
-    def meet_all(self, subset) -> int:
-        out = self.top
-        for s in subset:
-            out = self.meet_table[out][s]
         return out
 
     def implies(self, p: int, q: int) -> int:
@@ -272,9 +262,10 @@ def pentagon_spec() -> PosetSpec:
     )
 
 
+# name -> constructor, so that listing the names builds no algebra
+NAMED_ALGEBRAS = {"two_element": two_element, "chain3": chain3,
+                  "diamond": diamond}
+
+
 def named_algebras() -> dict[str, HeytingAlgebra]:
-    return {
-        "two_element": two_element(),
-        "chain3": chain3(),
-        "diamond": diamond(),
-    }
+    return {name: make() for name, make in NAMED_ALGEBRAS.items()}

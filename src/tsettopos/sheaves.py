@@ -215,12 +215,6 @@ class MatchingFamily:
     choice: tuple[int, ...]
     # choice aligns with sorted(sieve.members)
 
-    def members(self) -> list[int]:
-        return sorted(self.sieve.members)
-
-    def at(self, q: int) -> int:
-        return self.choice[self.members().index(q)]
-
 
 def matching_families(P: Presheaf, s: Sieve) -> list[MatchingFamily]:
     """All families over the sieve, one section per member, compatible
@@ -382,9 +376,6 @@ class NatTransform:
     target: Presheaf
     components: tuple[tuple[int, ...], ...]
 
-    def component(self, p: int) -> tuple[int, ...]:
-        return self.components[p]
-
     def apply(self, p: int, i: int) -> int:
         return self.components[p][i]
 
@@ -542,6 +533,8 @@ class PresheafPullback:
     presheaf: Presheaf
     proj1: NatTransform
     proj2: NatTransform
+    # pairs[p][k] is the section pair (i, j) that section k over p is
+    pairs: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def pullback_presheaf(f: NatTransform, g: NatTransform) -> PresheafPullback:
@@ -554,5 +547,6 @@ def pullback_presheaf(f: NatTransform, g: NatTransform) -> PresheafPullback:
     c1 = tuple(tuple(i for i, _ in level) for level in pairs)
     c2 = tuple(tuple(j for _, j in level) for level in pairs)
     return PresheafPullback(
-        PB, NatTransform(PB, P, c1), NatTransform(PB, Q, c2)
+        PB, NatTransform(PB, P, c1), NatTransform(PB, Q, c2),
+        tuple(map(tuple, pairs)),
     )

@@ -32,23 +32,8 @@ class Sieve:
         return f"Sieve(at={H.name(self.at)}, {{{names}}})"
 
 
-def validate_sieve(s: Sieve) -> bool:
-    H = s.algebra
-    if not all(H.le(m, s.at) for m in s.members):
-        return False
-    return all(
-        q in s.members
-        for m in s.members
-        for q in H.down(m)
-    )
-
-
 def maximal_sieve(H: HeytingAlgebra, p: int) -> Sieve:
     return Sieve(H, p, frozenset(H.down(p)))
-
-
-def empty_sieve(H: HeytingAlgebra, p: int) -> Sieve:
-    return Sieve(H, p, frozenset())
 
 
 def down_closure(H: HeytingAlgebra, members) -> frozenset[int]:
@@ -103,9 +88,6 @@ class Topology:
 
     def covering(self, p: int) -> list[frozenset[int]]:
         return sorted(self.covers[p], key=lambda s: (len(s), sorted(s)))
-
-    def is_cover(self, p: int, members: frozenset[int]) -> bool:
-        return members in self.covers[p]
 
 
 @dataclass(frozen=True)

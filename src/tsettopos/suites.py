@@ -30,7 +30,7 @@ from .sheaves import (
     tset_to_presheaf,
     validate_nat,
 )
-from .sites import closed_sieves, territory_topology
+from .sites import closed_sieves, principal_sieves, territory_topology
 from .tset import (
     TSet,
     compatible,
@@ -88,7 +88,6 @@ class SuiteConfig:
 @dataclass(frozen=True)
 class InstancePool:
     algebras: tuple[tuple[str, HeytingAlgebra], ...]
-    named: tuple[tuple[str, HeytingAlgebra], ...]
     rejected: tuple[tuple[str, str], ...]
     tsets: tuple[tuple[str, TSet], ...]
     quasi: tuple[tuple[str, TSet], ...]
@@ -97,13 +96,8 @@ class InstancePool:
 
 def generate_instance_pool(config: SuiteConfig) -> InstancePool:
     """Enumerated algebras and T-sets within the config bounds, plus the
-    canonical named instances and the pentagon rejection witness."""
+    pentagon rejection witness."""
     algebras = tuple(algebra_pool(config.max_algebra_size))
-    named = (
-        ("two_element", two_element()),
-        ("chain3", chain3()),
-        ("diamond", diamond()),
-    )
     try:
         build_algebra(pentagon_spec())
         rejected: tuple[tuple[str, str], ...] = ()
@@ -135,7 +129,7 @@ def generate_instance_pool(config: SuiteConfig) -> InstancePool:
             H3, territory_topology(H3), config.max_carrier_size
         ))
     )
-    return InstancePool(algebras, named, rejected, tsets, quasi, sheaves)
+    return InstancePool(algebras, rejected, tsets, quasi, sheaves)
 
 
 @dataclass(frozen=True)
@@ -228,7 +222,7 @@ def _check_omega_closed_sieves(config: SuiteConfig,
         J = territory_topology(H)
         bad = None
         for p in H.elements():
-            want = {frozenset(H.down(s)) for s in H.down(p)}
+            want = set(principal_sieves(H, p))
             got = set(closed_sieves(H, J, p))
             if got != want:
                 bad = (H.name(p), sorted(map(sorted, got)))

@@ -19,6 +19,7 @@ from .heyting import HeytingAlgebra, two_element
 from .sheaves import (
     NatTransform,
     Presheaf,
+    PresheafPullback,
     hom_presheaf,
     is_sheaf,
     make_presheaf,
@@ -67,9 +68,6 @@ class ProductResult:
     proj2: TRelation
     pairs: tuple[tuple[int, int], ...]
 
-    def pair_index(self, a: int, b: int) -> int:
-        return self.pairs.index((a, b))
-
 
 def product(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> ProductResult:
     """All carrier pairs with componentwise identity meet.
@@ -104,15 +102,6 @@ def product(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> ProductResult:
         TRelation(prod, B, tuple(m2)),
         pairs,
     )
-
-
-def mediate_product(prod: ProductResult, f: TRelation, g: TRelation) -> TRelation:
-    """The canonical cone mediator w -> (f(w), g(w))."""
-    W = f.source
-    mapping = tuple(
-        prod.pair_index(f.apply(w), g.apply(w)) for w in range(W.size)
-    )
-    return TRelation(W, prod.tset, mapping)
 
 
 def mediators(W: TSet, target: TSet,
@@ -155,31 +144,6 @@ def _extensional_classes(hs: list[TRelation]) -> list[list[TRelation]]:
     return classes
 
 
-def check_product_universal(prod: ProductResult, cones: list[TSet],
-                            guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    """Exactly one mediating relation for every cone from every listed
-    vertex.  Mediators are counted up to extensional equality: two
-    element maps whose images are indiscernible present the same
-    relation, and the pair carrier is not separated in general."""
-    A, B = prod.proj1.target, prod.proj2.target
-    for W in cones:
-        homs = hom_set(W, prod.tset, guard)
-        for f in hom_set(W, A, guard):
-            for g in hom_set(W, B, guard):
-                hits = [
-                    h for h in homs
-                    if extensionally_equal(prod.proj1.compose(h), f)
-                    and extensionally_equal(prod.proj2.compose(h), g)
-                ]
-                classes = _extensional_classes(hits)
-                if len(classes) != 1:
-                    return False, (repr(W), f.mapping, g.mapping, len(classes))
-                canon = mediate_product(prod, f, g)
-                if not extensionally_equal(classes[0][0], canon):
-                    return False, (repr(W), f.mapping, g.mapping, "mediator")
-    return True, None
-
-
 @dataclass(frozen=True)
 class GraphResult:
     tset: TSet
@@ -218,8 +182,7 @@ class PullbackResult:
     tset: TSet
     proj1: TRelation
     proj2: TRelation
-    inclusion: TRelation
-    product: ProductResult
+    pairs: tuple[tuple[int, int], ...]
 
 
 def pullback(f: TRelation, g: TRelation,
@@ -246,21 +209,28 @@ def pullback(f: TRelation, g: TRelation,
         pb,
         TRelation(pb, A, m1),
         TRelation(pb, B, m2),
-        TRelation(pb, prod.tset, tuple(keep)),
-        prod,
+        tuple(prod.pairs[k] for k in keep),
     )
 
 
-def check_pullback_universal(pb: PullbackResult, f: TRelation, g: TRelation,
-                             cones: list[TSet],
+def check_pullback_universal(pb: PullbackResult | ProductResult,
+                             f: TRelation, g: TRelation, cones: list[TSet],
                              guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    """Every commuting cone mediates uniquely through the pullback,
-    with commutation and uniqueness read extensionally."""
+    """Every commuting cone (u, v) from every listed vertex mediates
+    through the pullback by exactly one relation, and that relation is
+    the pairing w -> (u w, v w) of the pullback's carrier pairs.
+
+    Commutation, uniqueness and the pairing are read extensionally:
+    two element maps whose images are indiscernible present the same
+    relation, and the pair carrier is not separated in general."""
     A, B = f.source, g.source
+    index = {pair: k for k, pair in enumerate(pb.pairs)}
     for W in cones:
         homs = hom_set(W, pb.tset, guard)
-        for u in hom_set(W, A, guard):
-            for v in hom_set(W, B, guard):
+        homs_u = hom_set(W, A, guard)
+        homs_v = hom_set(W, B, guard) if homs_u else []
+        for u in homs_u:
+            for v in homs_v:
                 if not extensionally_equal(f.compose(u), g.compose(v)):
                     continue
                 hits = [
@@ -271,60 +241,40 @@ def check_pullback_universal(pb: PullbackResult, f: TRelation, g: TRelation,
                 classes = _extensional_classes(hits)
                 if len(classes) != 1:
                     return False, (repr(W), u.mapping, v.mapping, len(classes))
+                pairing = tuple(index.get(pair)
+                                for pair in zip(u.mapping, v.mapping))
+                if None in pairing or not extensionally_equal(
+                        classes[0][0], TRelation(W, pb.tset, pairing)):
+                    return False, (repr(W), u.mapping, v.mapping, "mediator")
     return True, None
+
+
+def check_product_universal(prod: ProductResult, cones: list[TSet],
+                            guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
+    """The product verified as the pullback over the terminal T-set."""
+    A, B = prod.proj1.target, prod.proj2.target
+    one = terminal(A.algebra)
+    return check_pullback_universal(
+        prod, unique_to_terminal(A, one), unique_to_terminal(B, one),
+        cones, guard)
 
 
 # ----------------------------------------------- presheaf-level structure
 
-def pair_nat(f: NatTransform, g: NatTransform, PQ: Presheaf) -> NatTransform:
-    """Mediator Z -> P x Q induced by components (f, g)."""
-    Z = f.source
-    Q = g.target
-    comps = tuple(
-        tuple(
-            f.components[p][z] * Q.n(p) + g.components[p][z]
-            for z in range(Z.n(p))
-        )
-        for p in Z.algebra.elements()
-    )
-    return NatTransform(Z, PQ, comps)
-
-
-def product_universal_presheaf(P: Presheaf, Q: Presheaf, pool: list[Presheaf],
-                               guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    # P x Q with its projections, as the pullback over the terminal
-    H = P.algebra
-    one = terminal_presheaf(H)
-    to_one = [NatTransform(F, one, tuple((0,) * F.n(p) for p in H.elements()))
-              for F in (P, Q)]
-    prod = pullback_presheaf(*to_one)
-    PQ, pr1, pr2 = prod.presheaf, prod.proj1, prod.proj2
-    for W in pool:
-        homs_p = hom_presheaf(W, P, guard)
-        homs_q = hom_presheaf(W, Q, guard)
-        candidates = hom_presheaf(W, PQ, guard)
-        for f in homs_p:
-            for g in homs_q:
-                ms = [
-                    h for h in candidates
-                    if pr1.compose(h).components == f.components
-                    and pr2.compose(h).components == g.components
-                ]
-                if len(ms) != 1:
-                    return False, (repr(W), f.components, g.components, len(ms))
-                if ms[0].components != pair_nat(f, g, PQ).components:
-                    return False, (repr(W), f.components, g.components, "mediator")
-    return True, None
-
-
-def pullback_universal_presheaf(f: NatTransform, g: NatTransform,
-                                pool: list[Presheaf],
+def pullback_universal_presheaf(pb: PresheafPullback, f: NatTransform,
+                                g: NatTransform, pool: list[Presheaf],
                                 guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    pb = pullback_presheaf(f, g)
+    """Every commuting cone (u, v) from every pool member mediates
+    through the pullback by exactly one arrow, and that arrow is the
+    pairing z -> (u z, v z) of the pullback's section pairs."""
+    H = f.source.algebra
+    index = [{pair: k for k, pair in enumerate(level)} for level in pb.pairs]
     for W in pool:
         candidates = hom_presheaf(W, pb.presheaf, guard)
-        for u in hom_presheaf(W, f.source, guard):
-            for v in hom_presheaf(W, g.source, guard):
+        homs_u = hom_presheaf(W, f.source, guard)
+        homs_v = hom_presheaf(W, g.source, guard) if homs_u else []
+        for u in homs_u:
+            for v in homs_v:
                 if f.compose(u).components != g.compose(v).components:
                     continue
                 ms = [
@@ -334,7 +284,25 @@ def pullback_universal_presheaf(f: NatTransform, g: NatTransform,
                 ]
                 if len(ms) != 1:
                     return False, (repr(W), u.components, v.components, len(ms))
+                pairing = tuple(
+                    tuple(index[p].get(pair) for pair in
+                          zip(u.components[p], v.components[p]))
+                    for p in H.elements()
+                )
+                if ms[0].components != pairing:
+                    return False, (repr(W), u.components, v.components, "mediator")
     return True, None
+
+
+def product_universal_presheaf(P: Presheaf, Q: Presheaf, pool: list[Presheaf],
+                               guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
+    """P x Q verified as the pullback over the terminal presheaf."""
+    H = P.algebra
+    one = terminal_presheaf(H)
+    to_one = [NatTransform(F, one, tuple((0,) * F.n(p) for p in H.elements()))
+              for F in (P, Q)]
+    return pullback_universal_presheaf(pullback_presheaf(*to_one), *to_one,
+                                       pool, guard)
 
 
 # ------------------------------------------------------------ exponential
@@ -390,19 +358,11 @@ def exponential(X: Presheaf, Y: Presheaf,
 
 
 def evaluation(E: ExponentialResult) -> NatTransform:
-    """ev: (Y^X) x X -> Y, applying the family's component at its level."""
-    X, Y = E.base, E.power
-    H = X.algebra
-    EX = product_presheaf(E.presheaf, X)
-    comps = []
-    for p in H.elements():
-        n = X.n(p)
-        row = []
-        for m in range(EX.n(p)):
-            k, x = m // n, m % n
-            row.append(E.component_at(p, k, p)[x])
-        comps.append(tuple(row))
-    return NatTransform(EX, Y, tuple(comps))
+    """ev: (Y^X) x X -> Y, the uncurried identity of Y^X."""
+    EP = E.presheaf
+    identity = NatTransform(
+        EP, EP, tuple(tuple(range(EP.n(p))) for p in EP.algebra.elements()))
+    return untranspose(E, EP, identity)
 
 
 def transpose(E: ExponentialResult, Z: Presheaf,
@@ -488,9 +448,11 @@ def check_adjunction_natural(E: ExponentialResult, Z2: Presheaf, Z: Presheaf,
     X, Y = E.base, E.power
     ZX = product_presheaf(Z, X)
     Z2X = product_presheaf(Z2, X)
-    for r in hom_presheaf(Z2, Z, guard):
+    rs = hom_presheaf(Z2, Z, guard)
+    ks = hom_presheaf(ZX, Y, guard) if rs else []
+    for r in rs:
         rx = cross_nat(r, X, Z2X, ZX)
-        for k in hom_presheaf(ZX, Y, guard):
+        for k in ks:
             left = transpose(E, Z2, k.compose(rx))
             right = transpose(E, Z, k).compose(r)
             if left.components != right.components:
@@ -718,7 +680,7 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
                         pb = pullback_presheaf(f, g)
                         sheaf_row("pullback-sheaf", inst, pb.presheaf)
                         row("pullback-universal", inst,
-                            *pullback_universal_presheaf(f, g, pool, guard))
+                            *pullback_universal_presheaf(pb, f, g, pool, guard))
 
     def first_failure(results) -> tuple[bool, object]:
         # (where, (ok, witness)) pairs; the first failure names its Z

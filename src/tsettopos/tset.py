@@ -143,19 +143,6 @@ def is_atom(t: TSet, a: Iterable[int]) -> tuple[bool, tuple | None]:
     return True, None
 
 
-def is_subobject_map(t: TSet, a: Iterable[int]) -> tuple[bool, tuple | None]:
-    """First atom inequality only (sub-T-set indicator maps)."""
-    H = t.algebra
-    a = tuple(a)
-    if len(a) != t.size:
-        return False, ("shape",)
-    for x in range(t.size):
-        for y in range(t.size):
-            if not H.le(H.meet(a[x], t.ident(x, y)), a[y]):
-                return False, ("A1", t.name(x), t.name(y))
-    return True, None
-
-
 def atoms(t: TSet, guard: int = DEFAULT_GUARD) -> list[tuple[int, ...]]:
     """All atom maps, enumerated by backtracking in lexicographic order.
 
@@ -262,10 +249,6 @@ def compatible(t: TSet, x: int, y: int) -> bool:
         H.meet(t.ident(x, z), ey) == H.meet(t.ident(y, z), ex)
         for z in range(t.size)
     )
-
-
-def element_leq(t: TSet, x: int, y: int) -> bool:
-    return t.ee(x) == t.ident(x, y)
 
 
 def family_envelope(t: TSet, members: Iterable[int]) -> tuple[tuple[int, ...], int]:
@@ -492,22 +475,6 @@ def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> list[TRelation]:
 
     rec(0)
     return out
-
-
-def are_isomorphic(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> TRelation | None:
-    """An invertible relation A -> B, or None.  Sizes must match exactly."""
-    if A.size != B.size or A.algebra != B.algebra:
-        return None
-    for f in hom_set(A, B, guard):
-        if len(set(f.mapping)) != A.size:
-            continue
-        inverse = [0] * B.size
-        for x, v in enumerate(f.mapping):
-            inverse[v] = x
-        g = TRelation(B, A, tuple(inverse))
-        if validate_relation(g).ok:
-            return f
-    return None
 
 
 def extensionally_isomorphic(A: TSet, B: TSet,

@@ -155,6 +155,26 @@ def test_counterexample_output(capsys):
     assert rows["corrected-graph"]["status"] == "pass"
 
 
+def test_counterexample_algebra_and_size(capsys):
+    base = ["counterexample", "exposition"]
+    assert run_command(base) == 0
+    assert capsys.readouterr().out == (
+        "PASS counterexample mediating-maps\n"
+        "PASS counterexample corrected-graph\n")
+    assert run_command(base + ["--algebra", "diamond", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"] == {"command": "counterexample", "mode": "exposition",
+                             "algebra": "diamond", "size": 2}
+    assert "256" in doc["results"][0]["witness"]
+    # one point is the degenerate case: the flawed condition is not refuted
+    assert run_command(base + ["--size", "1"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "FAIL counterexample mediating-maps\n")
+    for bad in (["--size", "-1"], ["--size", "x"], ["--algebra", "pentagon"],
+                ["--size", "3"]):
+        assert run_command(base + bad) == 2
+
+
 def test_laws_restricted_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

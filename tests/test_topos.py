@@ -1,5 +1,6 @@
 """Finite topos structure: limits, exponentials, classifier, refutation."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -31,7 +32,6 @@ from tsettopos import (
     is_sheaf,
     make_presheaf,
     make_tset,
-    mediate_product,
     mediators,
     omega,
     product,
@@ -47,6 +47,7 @@ from tsettopos import (
     terminal_presheaf,
     territory_topology,
     tset_pool,
+    tset_to_presheaf,
     two_element,
     unique_to_terminal,
     validate_nat,
@@ -54,7 +55,11 @@ from tsettopos import (
     validate_tset,
 )
 from strategies import ALGEBRAS, tsets
-from tsettopos.topos import pullback_presheaf
+from tsettopos.topos import (
+    product_universal_presheaf,
+    pullback_presheaf,
+    pullback_universal_presheaf,
+)
 
 CH = chain3()
 CH_J = territory_topology(CH)
@@ -96,16 +101,6 @@ def test_product_with_terminal_recovers_factor(t):
     assert extensionally_isomorphic(prod.tset, t) is not None
 
 
-def test_mediate_product_commutes():
-    t = set_like_tset(two_element(), 2)
-    prod = product(t, t)
-    idr = identity_relation(t)
-    m = mediate_product(prod, idr, idr)
-    assert validate_relation(m).ok
-    assert extensionally_equal(prod.proj1.compose(m), idr)
-    assert extensionally_equal(prod.proj2.compose(m), idr)
-
-
 @given(tsets())
 def test_graph_legs(t):
     for rho in hom_set(t, t):
@@ -130,6 +125,49 @@ def test_pullback_square_commutes_and_is_universal(t):
     assert extensionally_equal(lhs, rhs)
     ok, witness = check_pullback_universal(pb, f, f, [t, one])
     assert ok, witness
+
+
+def _swapped(pb):
+    return dataclasses.replace(pb, proj1=pb.proj2, proj2=pb.proj1)
+
+
+def test_swapped_projections_are_not_the_pairing():
+    # over 1 with both legs from the same object, swapping the
+    # projections keeps every mediator unique, but the one for the cone
+    # (u, v) is w -> (v w, u w), not the pairing w -> (u w, v w)
+    t = set_like_tset(two_element(), 2)
+    f = unique_to_terminal(t, terminal(t.algebra))
+    pb = pullback(f, f)
+    assert check_pullback_universal(pb, f, f, [t]) == (True, None)
+    ok, witness = check_pullback_universal(_swapped(pb), f, f, [t])
+    assert not ok and witness[-1] == "mediator"
+    ok, witness = check_product_universal(_swapped(product(t, t)), [t])
+    assert not ok and witness[-1] == "mediator"
+
+
+def test_swapped_presheaf_projections_are_not_the_pairing():
+    H = two_element()
+    P = tset_to_presheaf(set_like_tset(H, 2))
+    f = hom_presheaf(P, terminal_presheaf(H))[0]
+    pb = pullback_presheaf(f, f)
+    assert pullback_universal_presheaf(pb, f, f, [P]) == (True, None)
+    ok, witness = pullback_universal_presheaf(_swapped(pb), f, f, [P])
+    assert not ok and witness[-1] == "mediator"
+
+
+CROSS_LEVEL = [(lbl, H) for lbl, H in algebra_pool(3)] + [("diamond", diamond())]
+
+
+@pytest.mark.parametrize("H", [H for _, H in CROSS_LEVEL],
+                         ids=[lbl for lbl, _ in CROSS_LEVEL])
+def test_product_verdicts_agree_across_levels(H):
+    pool = tset_pool(H, 2, require_separated=False, include_empty=True)
+    presheaves = [tset_to_presheaf(t) for t in pool]
+    for A, PA in zip(pool, presheaves):
+        for B, PB in zip(pool, presheaves):
+            tset_verdict = check_product_universal(product(A, B), pool)
+            presheaf_verdict = product_universal_presheaf(PA, PB, presheaves)
+            assert tset_verdict[0] == presheaf_verdict[0]
 
 
 def test_pullback_along_identity_recovers_graph():
