@@ -9,6 +9,7 @@ collation construction applied twice.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,6 +40,14 @@ class Presheaf:
 
     def restrict(self, p: int, q: int, i: int) -> int:
         return self.tables[p][q][i]
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.algebra, self.sections, self.tables))
+
+    def __hash__(self) -> int:
+        # presheaves key the topos verifiers' memo; hash the fields once
+        return self._hash
 
     def __repr__(self):
         shape = {self.algebra.name(p): len(self.sections[p])
@@ -390,23 +399,31 @@ class NatTransform:
         return NatTransform(other.source, self.target, comps)
 
 
-def validate_nat(nt: NatTransform) -> bool:
+def naturality_witness(nt: NatTransform) -> tuple | None:
+    """None when nt is a natural transformation; otherwise why not:
+    ("algebra",), ("components", p) for a missing, mis-sized or
+    out-of-range component, or the first (p, q, i) whose naturality
+    square fails for the p-section i restricted to q."""
     P, Q = nt.source, nt.target
     if P.algebra != Q.algebra:
-        return False
+        return ("algebra",)
     H = P.algebra
     if len(nt.components) != H.size:
-        return False
+        return ("components", len(nt.components))
     for p in H.elements():
         comp = nt.components[p]
         if len(comp) != P.n(p) or any(not 0 <= v < Q.n(p) for v in comp):
-            return False
+            return ("components", H.name(p))
     for p in H.elements():
         for q in H.down(p):
             for i in range(P.n(p)):
                 if Q.restrict(p, q, nt.apply(p, i)) != nt.apply(q, P.restrict(p, q, i)):
-                    return False
-    return True
+                    return (H.name(p), H.name(q), i)
+    return None
+
+
+def validate_nat(nt: NatTransform) -> bool:
+    return naturality_witness(nt) is None
 
 
 def natural_families(P: Presheaf, Q: Presheaf,

@@ -24,6 +24,7 @@ from .sheaves import (
     is_sheaf,
     make_presheaf,
     natural_families,
+    naturality_witness,
     product_presheaf,
     pullback_presheaf,
     terminal_presheaf,
@@ -261,27 +262,74 @@ def check_product_universal(prod: ProductResult, cones: list[TSet],
 
 # ----------------------------------------------- presheaf-level structure
 
+class Memo:
+    """Hom-sets, products and transposes, each computed once per value.
+
+    The presheaf verifiers take one as an optional last argument;
+    without it each makes its own, so nothing is shared between calls.
+    `check_topos_axioms` makes one per call, which its verifiers share
+    and which is dropped when it returns.  Presheaves are frozen values,
+    so equal presheaves built apart (pullbacks of different spans, say)
+    share one entry.  Misses go through the module-level
+    `hom_presheaf`, `product_presheaf` and `transpose`."""
+
+    def __init__(self):
+        self._homs: dict = {}
+        self._products: dict = {}
+        self._transposes: dict = {}
+
+    def hom(self, P: Presheaf, Q: Presheaf, guard: int) -> list[NatTransform]:
+        key = (P, Q, guard)
+        if key not in self._homs:
+            self._homs[key] = hom_presheaf(P, Q, guard)
+        return self._homs[key]
+
+    def product(self, P: Presheaf, Q: Presheaf) -> Presheaf:
+        key = (P, Q)
+        if key not in self._products:
+            self._products[key] = product_presheaf(P, Q)
+        return self._products[key]
+
+    def transposes(self, E: ExponentialResult, Z: Presheaf,
+                   guard: int) -> list[NatTransform]:
+        """transpose(E, Z, k) for each k in hom(Z x X, Y), in that order."""
+        key = (E, Z, guard)
+        if key not in self._transposes:
+            ks = self.hom(self.product(Z, E.base), E.power, guard)
+            self._transposes[key] = [transpose(E, Z, k) for k in ks]
+        return self._transposes[key]
+
+
 def pullback_universal_presheaf(pb: PresheafPullback, f: NatTransform,
                                 g: NatTransform, pool: list[Presheaf],
-                                guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
+                                guard: int = DEFAULT_GUARD,
+                                memo: Memo | None = None) -> tuple[bool, tuple | None]:
     """Every commuting cone (u, v) from every pool member mediates
     through the pullback by exactly one arrow, and that arrow is the
-    pairing z -> (u z, v z) of the pullback's section pairs."""
+    pairing z -> (u z, v z) of the pullback's section pairs.
+
+    Per vertex, the candidate arrows into the pullback are indexed once
+    by their legs (proj1 . h, proj2 . h), in candidate order, and the
+    arrows into g's source by g . v; each cone then looks up its
+    mediators instead of rescanning the candidates."""
+    memo = memo or Memo()
     H = f.source.algebra
     index = [{pair: k for k, pair in enumerate(level)} for level in pb.pairs]
     for W in pool:
-        candidates = hom_presheaf(W, pb.presheaf, guard)
-        homs_u = hom_presheaf(W, f.source, guard)
-        homs_v = hom_presheaf(W, g.source, guard) if homs_u else []
+        candidates = memo.hom(W, pb.presheaf, guard)
+        homs_u = memo.hom(W, f.source, guard)
+        homs_v = memo.hom(W, g.source, guard) if homs_u else []
+        by_legs: dict = {}
+        for h in candidates:
+            legs = (pb.proj1.compose(h).components,
+                    pb.proj2.compose(h).components)
+            by_legs.setdefault(legs, []).append(h)
+        by_gv: dict = {}
+        for v in homs_v:
+            by_gv.setdefault(g.compose(v).components, []).append(v)
         for u in homs_u:
-            for v in homs_v:
-                if f.compose(u).components != g.compose(v).components:
-                    continue
-                ms = [
-                    h for h in candidates
-                    if pb.proj1.compose(h).components == u.components
-                    and pb.proj2.compose(h).components == v.components
-                ]
+            for v in by_gv.get(f.compose(u).components, ()):
+                ms = by_legs.get((u.components, v.components), [])
                 if len(ms) != 1:
                     return False, (repr(W), u.components, v.components, len(ms))
                 pairing = tuple(
@@ -295,14 +343,15 @@ def pullback_universal_presheaf(pb: PresheafPullback, f: NatTransform,
 
 
 def product_universal_presheaf(P: Presheaf, Q: Presheaf, pool: list[Presheaf],
-                               guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
+                               guard: int = DEFAULT_GUARD,
+                               memo: Memo | None = None) -> tuple[bool, tuple | None]:
     """P x Q verified as the pullback over the terminal presheaf."""
     H = P.algebra
     one = terminal_presheaf(H)
     to_one = [NatTransform(F, one, tuple((0,) * F.n(p) for p in H.elements()))
               for F in (P, Q)]
     return pullback_universal_presheaf(pullback_presheaf(*to_one), *to_one,
-                                       pool, guard)
+                                       pool, guard, memo)
 
 
 # ------------------------------------------------------------ exponential
@@ -386,12 +435,12 @@ def transpose(E: ExponentialResult, Z: Presheaf,
     return NatTransform(Z, E.presheaf, tuple(comps))
 
 
-def untranspose(E: ExponentialResult, Z: Presheaf,
-                h: NatTransform) -> NatTransform:
+def untranspose(E: ExponentialResult, Z: Presheaf, h: NatTransform,
+                memo: Memo | None = None) -> NatTransform:
     """Uncurrying: h: Z -> Y^X becomes Z x X -> Y."""
     X, Y = E.base, E.power
     H = X.algebra
-    ZX = product_presheaf(Z, X)
+    ZX = (memo or Memo()).product(Z, X)
     comps = []
     for p in H.elements():
         n = X.n(p)
@@ -404,22 +453,22 @@ def untranspose(E: ExponentialResult, Z: Presheaf,
 
 
 def check_adjunction(E: ExponentialResult, Z: Presheaf,
-                     guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
+                     guard: int = DEFAULT_GUARD,
+                     memo: Memo | None = None) -> tuple[bool, tuple | None]:
     """Hom(Z x X, Y) and Hom(Z, Y^X) biject via transpose/untranspose."""
+    memo = memo or Memo()
     X, Y = E.base, E.power
-    ZX = product_presheaf(Z, X)
-    lower = hom_presheaf(ZX, Y, guard)
-    upper = hom_presheaf(Z, E.presheaf, guard)
+    lower = memo.hom(memo.product(Z, X), Y, guard)
+    upper = memo.hom(Z, E.presheaf, guard)
     if len(lower) != len(upper):
         return False, ("count", len(lower), len(upper))
-    for k in lower:
-        h = transpose(E, Z, k)
+    for k, h in zip(lower, memo.transposes(E, Z, guard)):
         if not validate_nat(h):
             return False, ("transpose-nat", k.components)
-        if untranspose(E, Z, h).components != k.components:
+        if untranspose(E, Z, h, memo).components != k.components:
             return False, ("roundtrip-lower", k.components)
     for h in upper:
-        k = untranspose(E, Z, h)
+        k = untranspose(E, Z, h, memo)
         if not validate_nat(k):
             return False, ("untranspose-nat", h.components)
         if transpose(E, Z, k).components != h.components:
@@ -443,18 +492,21 @@ def cross_nat(r: NatTransform, X: Presheaf,
 
 
 def check_adjunction_natural(E: ExponentialResult, Z2: Presheaf, Z: Presheaf,
-                             guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
+                             guard: int = DEFAULT_GUARD,
+                             memo: Memo | None = None) -> tuple[bool, tuple | None]:
     """transpose(k . (r x id)) = transpose(k) . r for all r: Z2 -> Z."""
+    memo = memo or Memo()
     X, Y = E.base, E.power
-    ZX = product_presheaf(Z, X)
-    Z2X = product_presheaf(Z2, X)
-    rs = hom_presheaf(Z2, Z, guard)
-    ks = hom_presheaf(ZX, Y, guard) if rs else []
+    ZX = memo.product(Z, X)
+    Z2X = memo.product(Z2, X)
+    rs = memo.hom(Z2, Z, guard)
+    ks = memo.hom(ZX, Y, guard) if rs else []
+    ts = memo.transposes(E, Z, guard) if rs else []
     for r in rs:
         rx = cross_nat(r, X, Z2X, ZX)
-        for k in ks:
+        for k, t in zip(ks, ts):
             left = transpose(E, Z2, k.compose(rx))
-            right = transpose(E, Z, k).compose(r)
+            right = t.compose(r)
             if left.components != right.components:
                 return False, (r.components, k.components)
     return True, None
@@ -658,29 +710,31 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
     def name_of(P: Presheaf) -> str:
         return "F(" + ",".join(str(P.n(p)) for p in H.elements()) + ")"
 
+    memo = Memo()
     one = terminal_presheaf(H)
     sheaf_row("terminal-sheaf", "1", one)
     for P in pool:
-        row("terminal-unique", name_of(P),
-            len(hom_presheaf(P, one, guard)) == 1)
+        count = len(memo.hom(P, one, guard))
+        row("terminal-unique", name_of(P), count == 1, count)
 
     for A in pool:
         for B in pool:
             inst = f"{name_of(A)}x{name_of(B)}"
-            sheaf_row("product-sheaf", inst, product_presheaf(A, B))
+            sheaf_row("product-sheaf", inst, memo.product(A, B))
             row("product-universal", inst,
-                *product_universal_presheaf(A, B, pool, guard))
+                *product_universal_presheaf(A, B, pool, guard, memo=memo))
 
     for C in pool:
         for A in pool:
             for B in pool:
-                for f in hom_presheaf(A, C, guard):
-                    for g in hom_presheaf(B, C, guard):
+                for f in memo.hom(A, C, guard):
+                    for g in memo.hom(B, C, guard):
                         inst = f"{name_of(A)}->{name_of(C)}<-{name_of(B)}"
                         pb = pullback_presheaf(f, g)
                         sheaf_row("pullback-sheaf", inst, pb.presheaf)
                         row("pullback-universal", inst,
-                            *pullback_universal_presheaf(pb, f, g, pool, guard))
+                            *pullback_universal_presheaf(pb, f, g, pool, guard,
+                                                         memo=memo))
 
     def first_failure(results) -> tuple[bool, object]:
         # (where, (ok, witness)) pairs; the first failure names its Z
@@ -689,22 +743,27 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
                 return False, (where, witness)
         return True, None
 
+    def nat_row(check: str, inst: str, nt: NatTransform):
+        witness = naturality_witness(nt)
+        row(check, inst, witness is None, witness)
+
     for X in pool:
         for Y in pool:
             inst = f"{name_of(Y)}^{name_of(X)}"
             E = exponential(X, Y, guard)
             sheaf_row("exponential-sheaf", inst, E.presheaf)
-            row("evaluation-natural", inst, validate_nat(evaluation(E)))
+            nat_row("evaluation-natural", inst, evaluation(E))
             row("adjunction-bijection", inst, *first_failure(
-                (name_of(Z), check_adjunction(E, Z, guard)) for Z in pool))
+                (name_of(Z), check_adjunction(E, Z, guard, memo=memo))
+                for Z in pool))
             row("adjunction-natural", inst, *first_failure(
                 (f"{name_of(Z2)}->{name_of(Z)}",
-                 check_adjunction_natural(E, Z2, Z, guard))
+                 check_adjunction_natural(E, Z2, Z, guard, memo=memo))
                 for Z in pool for Z2 in pool))
 
     om = omega(H, J)
     sheaf_row("omega-sheaf", "Omega", om.presheaf)
-    row("truth-natural", "true", validate_nat(om.truth))
+    nat_row("truth-natural", "true", om.truth)
     for A in pool:
         row("classifier-unique", name_of(A),
             *check_classifier(A, J, om, guard))

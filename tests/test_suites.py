@@ -111,7 +111,7 @@ def test_topos_axiom_failures_carry_witnesses(monkeypatch):
     # every adjunction row first fails at its second Z
     monkeypatch.setattr(
         topos, "check_adjunction",
-        lambda E, Z, guard: (True, None) if Z == sheaves[0]
+        lambda E, Z, guard, **kw: (True, None) if Z == sheaves[0]
         else (False, planted))
     second = "F(" + ",".join(
         str(sheaves[1].n(p)) for p in sheaves[1].algebra.elements()) + ")"
@@ -124,3 +124,33 @@ def test_topos_axiom_failures_carry_witnesses(monkeypatch):
         assert (r.status, r.witness) == ("fail", repr((second, planted)))
     for r in rows["terminal-unique"] + rows["adjunction-natural"]:
         assert (r.status, r.witness) == ("pass", None)
+
+
+def test_terminal_and_naturality_failures_carry_witnesses(monkeypatch):
+    import dataclasses
+
+    from tsettopos import chain3, territory_topology, topos
+
+    cfg = SuiteConfig(max_algebra_size=2, max_carrier_size=2,
+                      checks=("topos-axioms",))
+    H = chain3()
+    om = topos.omega(H, territory_topology(H))
+    one = om.truth.source
+    # truth at the top picks the sieve {mu}, which restricts at p to {mu},
+    # not to the truth {mu, p}: naturality first breaks at (M, p, 0)
+    bent = dataclasses.replace(om.truth, components=((0,), (1,), (0,)))
+    hom = topos.hom_presheaf
+    monkeypatch.setattr(
+        topos, "hom_presheaf",
+        lambda P, Q, guard: hom(P, Q, guard) * (2 if Q == one else 1))
+    monkeypatch.setattr(topos, "evaluation", lambda E: bent)
+    monkeypatch.setattr(topos, "omega",
+                        lambda H, J: dataclasses.replace(om, truth=bent))
+    rows = {}
+    for r in run_suite(cfg).results:
+        rows.setdefault(r.instance.split(":")[0], []).append(r)
+    assert rows["terminal-unique"] and rows["evaluation-natural"]
+    for r in rows["terminal-unique"]:
+        assert (r.status, r.witness) == ("fail", repr(2))
+    for r in rows["evaluation-natural"] + rows["truth-natural"]:
+        assert (r.status, r.witness) == ("fail", repr(("M", "p", 0)))

@@ -1,6 +1,7 @@
 """Finite topos structure: limits, exponentials, classifier, refutation."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -55,6 +56,8 @@ from tsettopos import (
     validate_tset,
 )
 from strategies import ALGEBRAS, tsets
+from tsettopos import topos
+from tsettopos.sheaves import NatTransform, PresheafPullback
 from tsettopos.topos import (
     product_universal_presheaf,
     pullback_presheaf,
@@ -168,6 +171,26 @@ def test_product_verdicts_agree_across_levels(H):
             tset_verdict = check_product_universal(product(A, B), pool)
             presheaf_verdict = product_universal_presheaf(PA, PB, presheaves)
             assert tset_verdict[0] == presheaf_verdict[0]
+
+
+@pytest.mark.parametrize("H", [H for _, H in CROSS_LEVEL],
+                         ids=[lbl for lbl, _ in CROSS_LEVEL])
+def test_pullback_verdicts_agree_across_levels(H):
+    # per cospan A -> C <- B, over every pair of arrows into C
+    pool = tset_pool(H, 2, require_separated=False, include_empty=True)
+    presheaves = [tset_to_presheaf(t) for t in pool]
+    for C, PC in zip(pool, presheaves):
+        for A, PA in zip(pool, presheaves):
+            for B, PB in zip(pool, presheaves):
+                tset_verdict = all(
+                    check_pullback_universal(pullback(f, g), f, g, pool)[0]
+                    for f in hom_set(A, C) for g in hom_set(B, C))
+                presheaf_verdict = all(
+                    pullback_universal_presheaf(
+                        pullback_presheaf(f, g), f, g, presheaves)[0]
+                    for f in hom_presheaf(PA, PC)
+                    for g in hom_presheaf(PB, PC))
+                assert tset_verdict == presheaf_verdict
 
 
 def test_pullback_along_identity_recovers_graph():
@@ -394,6 +417,129 @@ def test_products_and_pullbacks_match_sectionwise_reference(H, pool):
                         assert pb.presheaf == ref
                         assert pb.proj1.components == c1
                         assert pb.proj2.components == c2
+
+
+def _scan_pullback_universal(pb, f, g, pool):
+    """Reference verifier: every cone rescans every candidate arrow."""
+    H = f.source.algebra
+    index = [{pair: k for k, pair in enumerate(level)} for level in pb.pairs]
+    for W in pool:
+        candidates = hom_presheaf(W, pb.presheaf)
+        homs_u = hom_presheaf(W, f.source)
+        homs_v = hom_presheaf(W, g.source) if homs_u else []
+        for u in homs_u:
+            for v in homs_v:
+                if f.compose(u).components != g.compose(v).components:
+                    continue
+                ms = [
+                    h for h in candidates
+                    if pb.proj1.compose(h).components == u.components
+                    and pb.proj2.compose(h).components == v.components
+                ]
+                if len(ms) != 1:
+                    return False, (repr(W), u.components, v.components, len(ms))
+                pairing = tuple(
+                    tuple(index[p].get(pair) for pair in
+                          zip(u.components[p], v.components[p]))
+                    for p in H.elements()
+                )
+                if ms[0].components != pairing:
+                    return False, (repr(W), u.components, v.components, "mediator")
+    return True, None
+
+
+@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
+                         ids=[c[0] for c in TERRITORY_POOLS])
+def test_leg_index_matches_candidate_scan(H, pool):
+    for C in pool:
+        for A in pool:
+            for B in pool:
+                for f in hom_presheaf(A, C):
+                    for g in hom_presheaf(B, C):
+                        pb = pullback_presheaf(f, g)
+                        for planted in (pb, _swapped(pb)):
+                            assert pullback_universal_presheaf(
+                                planted, f, g, pool) == \
+                                _scan_pullback_universal(planted, f, g, pool)
+
+
+def _planted_over_one(sections, restrict, pairs):
+    """A PresheafPullback of 1 -> 1 <- 1 over the two-element algebra
+    with the given sections over (bottom, top) and their section pairs."""
+    H = two_element()
+    one = terminal_presheaf(H)
+    D = make_presheaf(H, sections, restrict)
+    legs = NatTransform(D, one, tuple(
+        tuple(0 for _ in level) for level in pairs))
+    return PresheafPullback(D, legs, legs, pairs), one
+
+
+def test_leg_index_on_planted_pullbacks():
+    H = two_element()
+    # two top sections over the same pair: the identity cone has 2 mediators
+    twice, one = _planted_over_one(
+        (("a",), ("b", "c")), {(1, 0): (0, 0)},
+        (((0, 0),), ((0, 0), (0, 0))))
+    # no top section at all: the identity cone has no mediator
+    missing, _ = _planted_over_one(
+        (("a",), ()), {(1, 0): ()}, (((0, 0),), ()))
+    f = hom_presheaf(one, one)[0]
+    ident = f.components
+    for planted, count in ((twice, 2), (missing, 0)):
+        assert pullback_universal_presheaf(planted, f, f, [one]) == \
+            _scan_pullback_universal(planted, f, f, [one]) == \
+            (False, (repr(one), ident, ident, count))
+    # swapped projections: one mediator, but not the pairing
+    P = tset_to_presheaf(set_like_tset(H, 2))
+    g = hom_presheaf(P, terminal_presheaf(H))[0]
+    swapped = _swapped(pullback_presheaf(g, g))
+    got = pullback_universal_presheaf(swapped, g, g, [P])
+    assert got == _scan_pullback_universal(swapped, g, g, [P])
+    assert not got[0] and got[1][-1] == "mediator"
+
+
+def _topos_bench_pool(H, max_total, max_per_level):
+    J = territory_topology(H)
+    return [P for P in sheaf_pool(H, J, max_total)
+            if max(P.n(p) for p in H.elements()) <= max_per_level], J
+
+
+def _rows_digest(rep):
+    return hashlib.sha256(repr(rep.rows).encode()).hexdigest()
+
+
+# check_topos_axioms rows, witnesses included, as computed before the
+# verifiers shared hom-sets, products and transposes within one call
+@pytest.mark.parametrize("H,max_total,max_per_level,digest", [
+    (CH, 4, 2,
+     "9f909f2528358fc5b4d613efd7438e3a0ea1203afe61dde032929f9f3c01aa05"),
+    (diamond(), 4, 2,
+     "34151793d712422cc6a2cb08bee79adefe9578b45e13d26cf7fde788edd48292"),
+    (diamond(), 3, 3,
+     "31bd4cb131ecd3e4e6f6e15a18381110ce2c31ec22eb4c5218d5b2df7bfc2608"),
+], ids=["chain3-4", "diamond-4", "diamond-3"])
+def test_topos_axiom_rows_frozen(H, max_total, max_per_level, digest):
+    pool, J = _topos_bench_pool(H, max_total, max_per_level)
+    assert _rows_digest(check_topos_axioms(pool, J)) == digest
+
+
+def test_hom_sets_enumerated_once_per_call(monkeypatch):
+    pool, J = _topos_bench_pool(diamond(), 3, 3)
+    seen = []
+    real = topos.hom_presheaf
+
+    def counting(P, Q, *args):
+        seen.append((P, Q))
+        return real(P, Q, *args)
+
+    monkeypatch.setattr(topos, "hom_presheaf", counting)
+    first = check_topos_axioms(pool, J)
+    calls = len(seen)
+    assert calls == len(set(seen)) > 0
+    # nothing carries over: a second call enumerates every pair again
+    second = check_topos_axioms(pool, J)
+    assert len(seen) == 2 * calls and set(seen[calls:]) == set(seen[:calls])
+    assert first == second
 
 
 def test_topos_axioms_smoke():
