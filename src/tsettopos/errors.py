@@ -80,15 +80,6 @@ class NotBelow(WorkbenchError):
         super().__init__(f"{element!r} is not below {base!r}")
 
 
-class BasisInvalid(WorkbenchError):
-    """A coverage basis violates one of its three closure conditions."""
-
-    def __init__(self, condition, witness):
-        self.condition = condition
-        self.witness = witness
-        super().__init__(f"basis condition {condition} fails at {witness!r}")
-
-
 class NotASheaf(WorkbenchError):
     """A presheaf failed the unique-amalgamation condition."""
 

@@ -52,10 +52,20 @@ def algebra_to_dict(H: HeytingAlgebra) -> dict:
     }
 
 
+def _array(value: object, what: str) -> list:
+    """The value itself if it is a JSON array, else SchemaError: a string
+    is iterable too and would be read character by character."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def algebra_from_dict(doc: dict) -> HeytingAlgebra:
     try:
-        elements = [str(e) for e in doc["elements"]]
-        covers = [(str(lo), str(hi)) for lo, hi in doc["covers"]]
+        elements = [str(e) for e in _array(doc["elements"], "elements")]
+        pairs = _array(doc["covers"], "covers")
+        covers = [(str(lo), str(hi))
+                  for lo, hi in (_array(c, "a cover") for c in pairs)]
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"algebra shape: {e}") from None
     try:
@@ -87,9 +97,9 @@ def tset_to_dict(t: TSet) -> dict:
 def tset_from_dict(doc: dict, base: Path | None = None) -> TSet:
     H = _resolve_algebra(doc.get("algebra"), base)
     try:
-        elements = [str(e) for e in doc["elements"]]
-        rows = doc["id"]
-        table = [[H.index(str(v)) for v in row] for row in rows]
+        elements = [str(e) for e in _array(doc["elements"], "elements")]
+        table = [[H.index(str(v)) for v in _array(row, "an id row")]
+                 for row in _array(doc["id"], "id")]
     except (KeyError, TypeError) as e:
         raise SchemaError(f"tset shape: {e}") from None
     except ValueError as e:
@@ -154,13 +164,11 @@ def presheaf_from_dict(doc: dict, base: Path | None = None, *,
     raw_sections = doc.get("sections")
     if not isinstance(raw_sections, dict):
         raise SchemaError("sections must map level names to lists")
-    try:
-        sections = tuple(
-            tuple(str(s) for s in raw_sections.get(H.name(p), []))
-            for p in H.elements()
-        )
-    except TypeError as e:
-        raise SchemaError(f"sections shape: {e}") from None
+    sections = tuple(
+        tuple(str(s) for s in _array(raw_sections.get(H.name(p), []),
+                                     f"sections {H.name(p)!r}"))
+        for p in H.elements()
+    )
     extra = set(raw_sections) - set(H.names)
     if extra:
         raise SchemaError(f"sections name unknown levels {sorted(extra)}")

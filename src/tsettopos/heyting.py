@@ -199,23 +199,6 @@ def build_algebra(spec: PosetSpec) -> HeytingAlgebra:
     )
 
 
-def envelope(H: HeytingAlgebra, subset) -> int:
-    """Join of an arbitrary subset; empty join is the bottom element."""
-    return H.sigma(subset)
-
-
-def implies(H: HeytingAlgebra, p: int, q: int) -> int:
-    return H.implies(p, q)
-
-
-def negate(H: HeytingAlgebra, p: int) -> int:
-    return H.neg(p)
-
-
-def is_boolean(H: HeytingAlgebra) -> bool:
-    return H.is_boolean()
-
-
 def subsets(H: HeytingAlgebra):
     """All subsets of the carrier as tuples, in mask order."""
     n = H.size

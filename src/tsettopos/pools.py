@@ -2,12 +2,13 @@
 
 Everything here is exhaustive enumeration up to isomorphism with a
 canonical output order, so that two runs over the same bounds produce
-identical pools.  Posets are generated as upper-triangular relations
-and deduplicated by a minimal permuted form, as are restriction
-tables.  Identity tables are keyed by a partition-refined canonical
-form (McKay, *Practical Graph Isomorphism*, 1981): elements are first
-sorted by an isomorphism invariant, and the minimum is taken only over
-relabellings that permute within blocks of equal invariant.
+identical pools.  Every pool deduplicates by one search,
+``_least_relabelling``: the least encoding over the relabellings that
+permute only within blocks.  Posets (generated as upper-triangular
+relations) use one block, presheaves one block per level.  Identity
+tables are keyed by a partition-refined canonical form (McKay,
+*Practical Graph Isomorphism*, 1981): elements are first sorted by an
+isomorphism invariant, and the blocks are the runs of equal invariant.
 """
 
 from __future__ import annotations
@@ -23,8 +24,14 @@ from .tset import TSet, satisfies_postulate
 ALGEBRA_ERRORS = (CycleError, NoBound, NotDistributive)
 
 
-def _relation_key(n: int, le: list[list[bool]], perm) -> tuple[bool, ...]:
-    return tuple(le[perm[i]][perm[j]] for i in range(n) for j in range(n))
+def _least_relabelling(blocks, encode):
+    """The least ``encode(order)`` over the orders that list the blocks
+    one after another, each permuted only within itself.  With one
+    block this is the minimum over all relabellings."""
+    return min(
+        encode([x for blk in choice for x in blk])
+        for choice in itertools.product(*map(itertools.permutations, blocks))
+    )
 
 
 def all_poset_specs(n: int) -> list[PosetSpec]:
@@ -33,7 +40,6 @@ def all_poset_specs(n: int) -> list[PosetSpec]:
     if n <= 0:
         return []
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    perms = list(itertools.permutations(range(n)))
     keys: set[tuple[bool, ...]] = set()
     for bits in range(1 << len(pairs)):
         le = [[i == j for j in range(n)] for i in range(n)]
@@ -47,7 +53,8 @@ def all_poset_specs(n: int) -> list[PosetSpec]:
             for i, j in pairs for k in range(j + 1, n)
         ):
             continue
-        keys.add(min(_relation_key(n, le, p) for p in perms))
+        keys.add(_least_relabelling(
+            [range(n)], lambda o: tuple(le[i][j] for i in o for j in o)))
     out = []
     for key in sorted(keys):
         le = [[key[i * n + j] for j in range(n)] for i in range(n)]
@@ -97,11 +104,8 @@ def _table_key(table) -> tuple:
     blocks = [
         tuple(grp) for _, grp in itertools.groupby(order, key=inv.__getitem__)
     ]
-    perms = (
-        [x for blk in choice for x in blk]
-        for choice in itertools.product(*map(itertools.permutations, blocks))
-    )
-    best = min(tuple(table[i][j] for i in p for j in p) for p in perms)
+    best = _least_relabelling(
+        blocks, lambda o: tuple(table[i][j] for i in o for j in o))
     return tuple(inv[x] for x in order), best
 
 
@@ -172,20 +176,6 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
     return out
 
 
-def _presheaf_key(shape: tuple[int, ...], tables: dict, pair_order,
-                  perm_sets) -> tuple:
-    best = None
-    for perms in itertools.product(*perm_sets):
-        normal = tuple(
-            tuple(perms[q][tables[(p, q)][perms[p].index(i)]]
-                  for i in range(len(perms[p])))
-            for p, q in pair_order
-        )
-        if best is None or normal < best:
-            best = normal
-    return (shape, best)
-
-
 def sheaf_pool(H: HeytingAlgebra, J: Topology, max_total: int, *,
                require_sheaf: bool = True) -> list[Presheaf]:
     """All presheaves over H with total section count up to max_total,
@@ -205,9 +195,10 @@ def sheaf_pool(H: HeytingAlgebra, J: Topology, max_total: int, *,
         ]
         if any(shape[p] and not shape[q] for p, q in pair_order):
             continue
-        perm_sets = [
-            list(itertools.permutations(range(shape[p]))) for p in levels
-        ]
+        # sections numbered level after level; a relabelling permutes
+        # each level's block
+        start = list(itertools.accumulate(shape, initial=0))
+        blocks = [range(start[p], start[p + 1]) for p in levels]
         for combo in itertools.product(*choice_sets):
             tables = dict(zip(pair_order, combo))
             sections = tuple(
@@ -218,7 +209,15 @@ def sheaf_pool(H: HeytingAlgebra, J: Topology, max_total: int, *,
                 continue
             if require_sheaf and not is_sheaf(P, J).ok:
                 continue
-            key = _presheaf_key(shape, tables, pair_order, perm_sets)
+
+            def relabelled(order):
+                at = {x: k for k, x in enumerate(order)}
+                return tuple(
+                    tuple(at[start[q] + tables[(p, q)][x - start[p]]]
+                          for x in order[start[p]:start[p + 1]])
+                    for p, q in pair_order
+                )
+            key = (shape, _least_relabelling(blocks, relabelled))
             if key in seen:
                 continue
             seen.add(key)

@@ -2,8 +2,10 @@
 
 Arrows of the site are order pairs q <= p, so a sieve at p is just a
 downward-closed subset of the elements below p.  The coverage of
-interest is generated by territories: families whose join recovers the
-element.  Everything is enumerated explicitly; closure is a fixpoint.
+interest is the canonical join coverage of the locale: a sieve covers p
+exactly when its join is p.  It is read straight off that condition,
+not generated from a basis.  Everything is enumerated explicitly;
+closure is a fixpoint.
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import BasisInvalid, NotBelow, SizeGuard
+from .errors import NotBelow
 from .heyting import HeytingAlgebra
-
-BASIS_GUARD = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,6 @@ class Sieve:
 
 def maximal_sieve(H: HeytingAlgebra, p: int) -> Sieve:
     return Sieve(H, p, frozenset(H.down(p)))
-
-
-def down_closure(H: HeytingAlgebra, members) -> frozenset[int]:
-    out: set[int] = set()
-    for m in members:
-        out.update(H.down(m))
-    return frozenset(out)
 
 
 def all_sieves(H: HeytingAlgebra, p: int) -> list[frozenset[int]]:
@@ -63,22 +56,6 @@ def pullback_sieve(s: Sieve, r: int) -> Sieve:
         raise NotBelow(H.name(r), H.name(s.at))
     below = set(H.down(r))
     return Sieve(H, r, frozenset(m for m in s.members if m in below))
-
-
-def territories(H: HeytingAlgebra, p: int) -> list[frozenset[int]]:
-    """Families below p whose join is exactly p, in canonical order.
-
-    The empty family belongs to territories(bottom) since the empty
-    join is the bottom element.
-    """
-    base = H.down(p)
-    out = []
-    for k in range(len(base) + 1):
-        for combo in itertools.combinations(base, k):
-            if H.sigma(combo) == p:
-                out.append(frozenset(combo))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,68 +102,17 @@ def validate_topology(J: Topology) -> TopologyReport:
     return TopologyReport(not bad, tuple(bad))
 
 
-def validate_basis(H: HeytingAlgebra, basis: dict[int, list[frozenset[int]]],
-                   guard: int = BASIS_GUARD) -> None:
-    """The three coverage-basis conditions; BasisInvalid names the failure.
+def territory_topology(H: HeytingAlgebra) -> Topology:
+    """The join-cover topology: a sieve covers p iff its join is p.
 
-    Condition 2 instantiates to meets against every lower element (for
-    territories this is exactly the frame law); condition 3 ranges over
-    choice functions picking a basis family below each member.
+    This is the topology a basis of territories (families joining to p)
+    would generate: a sieve at p containing the down-closure of such a
+    family joins to p, and a sieve joining to p is itself one.
     """
-    for p in H.elements():
-        for fam in basis.get(p, []):
-            if not all(H.le(t, p) for t in fam):
-                raise BasisInvalid("scope", (H.name(p), sorted(fam)))
-    for p in H.elements():
-        if frozenset({p}) not in basis.get(p, []):
-            raise BasisInvalid("identity", (H.name(p),))
-    for p in H.elements():
-        for fam in basis.get(p, []):
-            for r in H.down(p):
-                pulled = frozenset(H.meet(t, r) for t in fam)
-                if pulled not in basis.get(r, []):
-                    raise BasisInvalid("stability", (H.name(p), H.name(r), sorted(fam)))
-    for p in H.elements():
-        for fam in basis.get(p, []):
-            members = sorted(fam)
-            pools = [basis.get(t, []) for t in members]
-            total = 1
-            for pool in pools:
-                total *= max(len(pool), 1)
-            if total > guard:
-                raise SizeGuard("basis transitivity", total, guard)
-            for choice in itertools.product(*pools):
-                union = frozenset(itertools.chain.from_iterable(choice))
-                if union not in basis.get(p, []):
-                    raise BasisInvalid(
-                        "transitivity", (H.name(p), sorted(fam), sorted(union))
-                    )
-    return None
-
-
-def topology_from_basis(H: HeytingAlgebra,
-                        basis: dict[int, list[frozenset[int]]],
-                        guard: int = BASIS_GUARD) -> Topology:
-    """All sieves containing the downward closure of some basis family."""
-    validate_basis(H, basis, guard)
-    covers = []
-    for p in H.elements():
-        closures = [down_closure(H, fam) for fam in basis.get(p, [])]
-        covering = frozenset(
-            s for s in all_sieves(H, p)
-            if any(c <= s for c in closures)
-        )
-        covers.append(covering)
-    return Topology(H, tuple(covers))
-
-
-def territory_basis(H: HeytingAlgebra) -> dict[int, list[frozenset[int]]]:
-    return {p: territories(H, p) for p in H.elements()}
-
-
-def territory_topology(H: HeytingAlgebra, guard: int = BASIS_GUARD) -> Topology:
-    """The join-cover topology: a sieve covers p iff its join is p."""
-    return topology_from_basis(H, territory_basis(H), guard)
+    return Topology(H, tuple(
+        frozenset(s for s in all_sieves(H, p) if H.sigma(s) == p)
+        for p in H.elements()
+    ))
 
 
 def is_closed(s: Sieve, J: Topology) -> bool:

@@ -20,11 +20,8 @@ from tsettopos import (
     exposition_counterexample,
     find_presheaf_iso,
     generate_instance_pool,
-    implies,
-    is_boolean,
     is_sheaf,
     localise_element,
-    negate,
     omega,
     quasi_presheaf,
     report_json,
@@ -72,11 +69,11 @@ def test_criterion_01_heyting_laws_exhaustive():
     ok = True
     for _, H in algebra_pool(5):
         for p in H.elements():
-            ok &= H.meet(p, negate(H, p)) == H.bottom
-            ok &= H.le(p, negate(H, negate(H, p)))
+            ok &= H.meet(p, H.neg(p)) == H.bottom
+            ok &= H.le(p, H.neg(H.neg(p)))
             for q in H.elements():
                 for t in H.elements():
-                    ok &= H.le(H.meet(p, t), q) == H.le(t, implies(H, p, q))
+                    ok &= H.le(H.meet(p, t), q) == H.le(t, H.implies(p, q))
                     checked += 1
         for S in subsets(H):
             for p in H.elements():
@@ -89,9 +86,9 @@ def test_criterion_02_boolean_split():
     started = time.perf_counter()
     H = chain3()
     p, M = H.index("p"), H.index("M")
-    ok = negate(H, negate(H, p)) == M != p
-    ok &= not is_boolean(H)
-    ok &= is_boolean(two_element())
+    ok = H.neg(H.neg(p)) == M != p
+    ok &= not H.is_boolean()
+    ok &= two_element().is_boolean()
     _gate(2, "boolean-split", ok, started)
 
 

@@ -135,6 +135,29 @@ def test_duplicate_name_algebra_exits_2(tmp_path, capsys):
         assert "duplicate element names" in capsys.readouterr().err
 
 
+_CHAIN = {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}
+_SECTIONS = {"a": ["x", "y"], "b": ["x", "y"], "c": ["x", "y"]}
+_RESTRICT = {"b>a": {"x": "x", "y": "y"}, "c>b": {"x": "x", "y": "y"}}
+
+
+# each file would validate if its string were read as a list of its
+# characters, which is what iterating it does
+@pytest.mark.parametrize("doc", [
+    {**_CHAIN, "elements": "abc"},
+    {**_CHAIN, "covers": ["ab", "bc"]},
+    {"algebra": _CHAIN, "elements": "x", "id": [["c"]]},
+    {"algebra": _CHAIN, "elements": ["x"], "id": ["c"]},
+    {"algebra": _CHAIN, "sections": {**_SECTIONS, "c": "xy"},
+     "restrict": _RESTRICT},
+], ids=["algebra-elements", "algebra-cover", "tset-elements", "tset-id-row",
+        "presheaf-sections"])
+def test_string_for_array_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 2
+    assert "must be a list, got str" in capsys.readouterr().err
+
+
 def test_internal_value_error_propagates(monkeypatch):
     from tsettopos import cli
 

@@ -14,10 +14,7 @@ from tsettopos import (
     chain3,
     chain_spec,
     diamond,
-    implies,
-    is_boolean,
     named_algebras,
-    negate,
     pentagon_spec,
     subsets,
     two_element,
@@ -32,12 +29,12 @@ def test_chain3_tables_frozen():
     assert H.meet(p, M) == p and H.meet(p, mu) == mu
     assert H.join(p, mu) == p and H.join(p, M) == M
     # implication: p => mu collapses, M => p restricts
-    assert implies(H, p, mu) == mu
-    assert implies(H, M, p) == p
-    assert implies(H, mu, p) == M
-    assert negate(H, p) == mu
-    assert negate(H, mu) == M
-    assert negate(H, negate(H, p)) == M != p
+    assert H.implies(p, mu) == mu
+    assert H.implies(M, p) == p
+    assert H.implies(mu, p) == M
+    assert H.neg(p) == mu
+    assert H.neg(mu) == M
+    assert H.neg(H.neg(p)) == M != p
 
 
 def test_diamond_tables_frozen():
@@ -45,15 +42,15 @@ def test_diamond_tables_frozen():
     mu, a, b, M = (H.index(n) for n in ("mu", "a", "b", "M"))
     assert H.meet(a, b) == mu
     assert H.join(a, b) == M
-    assert implies(H, a, b) == b
-    assert negate(H, a) == b and negate(H, b) == a
+    assert H.implies(a, b) == b
+    assert H.neg(a) == b and H.neg(b) == a
     # 2x2 product of chains: complemented, hence boolean
-    assert is_boolean(H)
+    assert H.is_boolean()
 
 
 def test_boolean_split():
-    assert is_boolean(two_element())
-    assert not is_boolean(chain3())
+    assert two_element().is_boolean()
+    assert not chain3().is_boolean()
 
 
 def test_pentagon_rejected():
@@ -106,19 +103,19 @@ def test_frame_law_is_exact_above_six_elements():
 @given(algebra_elements(count=3))
 def test_adjunction(hpq):
     H, p, q, t = hpq
-    assert H.le(H.meet(p, t), q) == H.le(t, implies(H, p, q))
+    assert H.le(H.meet(p, t), q) == H.le(t, H.implies(p, q))
 
 
 @given(algebra_elements(count=1))
 def test_noncontradiction(hp):
     H, p = hp
-    assert H.meet(p, negate(H, p)) == H.bottom
+    assert H.meet(p, H.neg(p)) == H.bottom
 
 
 @given(algebra_elements(count=1))
 def test_double_negation_expands(hp):
     H, p = hp
-    assert H.le(p, negate(H, negate(H, p)))
+    assert H.le(p, H.neg(H.neg(p)))
 
 
 @given(algebra_elements(count=2))
@@ -180,7 +177,7 @@ def test_frame_distributivity(hs):
 @given(algebra_elements(count=2))
 def test_implication_is_greatest_residual(hpq):
     H, p, q = hpq
-    r = implies(H, p, q)
+    r = H.implies(p, q)
     assert H.le(H.meet(p, r), q)
     best = max(
         (t for t in H.elements() if H.le(H.meet(p, t), q)),
@@ -211,4 +208,4 @@ def test_chain_spec_sizes():
     for n in (2, 3, 4, 5):
         H = build_algebra(chain_spec(n))
         assert H.size == n
-        assert not is_boolean(H) if n > 2 else is_boolean(H)
+        assert not H.is_boolean() if n > 2 else H.is_boolean()

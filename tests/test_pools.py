@@ -13,7 +13,6 @@ from tsettopos import (
     build_algebra,
     chain3,
     find_presheaf_iso,
-    is_boolean,
     is_sheaf,
     satisfies_postulate,
     sheaf_pool,
@@ -178,4 +177,4 @@ def test_pool_tsets_are_sheaves_as_presheaves():
 
 
 def test_non_boolean_survivors_exist():
-    assert any(not is_boolean(H) for _, H in algebra_pool(3))
+    assert any(not H.is_boolean() for _, H in algebra_pool(3))

@@ -1,12 +1,13 @@
 """Sieves, coverage, closure, matching families."""
 
-import pytest
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from tsettopos import (
-    BasisInvalid,
     Sieve,
+    algebra_pool,
     all_sieves,
     amalgamate,
     chain3,
@@ -20,12 +21,9 @@ from tsettopos import (
     pullback_sieve,
     set_like_tset,
     singleton_completion,
-    territory_basis,
     territory_topology,
-    topology_from_basis,
     tset_to_presheaf,
     two_element,
-    validate_basis,
     validate_topology,
 )
 from strategies import algebra_elements, algebras
@@ -75,15 +73,6 @@ def test_pullback_sieve_restricts(hp):
         assert back.members == frozenset(q for q in fs if H.le(q, r))
 
 
-def test_territory_basis_chain3():
-    H = chain3()
-    mu, p, M = (H.index(n) for n in ("mu", "p", "M"))
-    basis = territory_basis(H)
-    # the empty family sums to the bottom element
-    assert frozenset() in basis[mu]
-    assert all(H.sigma(th) == pt for pt in basis for th in basis[pt])
-
-
 @given(algebras())
 def test_territory_topology_is_grothendieck(H):
     J = territory_topology(H)
@@ -91,24 +80,37 @@ def test_territory_topology_is_grothendieck(H):
     assert rep.ok, rep.violations
 
 
+def _basis_covers(H, p):
+    """Sieves at p that contain the down-closure of some family below p
+    whose join is p: the topology generated by the territory basis."""
+    below = H.down(p)
+    closures = [
+        frozenset(q for m in fam for q in H.down(m))
+        for k in range(len(below) + 1)
+        for fam in itertools.combinations(below, k)
+        if H.sigma(fam) == p
+    ]
+    return frozenset(
+        s for s in all_sieves(H, p) if any(c <= s for c in closures)
+    )
+
+
 @given(algebras())
 def test_territory_matches_its_basis(H):
     J = territory_topology(H)
-    K = topology_from_basis(H, territory_basis(H))
-    assert J.covers == K.covers
+    assert J.covers == tuple(_basis_covers(H, p) for p in H.elements())
+
+
+def test_territory_matches_its_basis_on_pool():
+    for H in [H for _, H in algebra_pool(5)] + [diamond()]:
+        J = territory_topology(H)
+        assert J.covers == tuple(_basis_covers(H, p) for p in H.elements())
 
 
 def test_empty_sieve_covers_bottom():
     H = chain3()
     J = territory_topology(H)
     assert frozenset() in J.covers[H.bottom]
-
-
-def test_validate_basis_rejects_non_cover():
-    H = chain3()
-    p = H.index("p")
-    with pytest.raises(BasisInvalid):
-        validate_basis(H, {p: [frozenset([H.bottom])]})
 
 
 @given(algebra_elements(count=1))

@@ -154,3 +154,13 @@ def test_terminal_and_naturality_failures_carry_witnesses(monkeypatch):
         assert (r.status, r.witness) == ("fail", repr(2))
     for r in rows["evaluation-natural"] + rows["truth-natural"]:
         assert (r.status, r.witness) == ("fail", repr(("M", "p", 0)))
+
+
+def test_one_version_string():
+    tomllib = pytest.importorskip("tomllib")
+    import tsettopos
+    from tsettopos.suites import VERSION
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert tsettopos.__version__ is VERSION
+    assert meta["project"]["version"] == VERSION
