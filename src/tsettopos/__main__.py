@@ -1,0 +1,6 @@
+"""`python3 -m tsettopos`: the command-line tool."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

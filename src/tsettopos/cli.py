@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import CycleError, NoBound, NotDistributive, SchemaError, WorkbenchError
 from .fileio import (
+    _array,
     algebra_from_dict,
     detect_kind,
     presheaf_from_dict,
@@ -182,7 +183,7 @@ def _cmd_laws(args) -> int:
         doc = read_doc(Path(args.config))
         try:
             if "checks" in doc:
-                doc["checks"] = tuple(doc["checks"])
+                doc["checks"] = tuple(_array(doc["checks"], "checks"))
             config = SuiteConfig(**doc)
         except (TypeError, ValueError) as e:
             raise SchemaError(f"bad suite config: {e}") from None

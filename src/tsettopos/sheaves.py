@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from .errors import NotASheaf, PostulateRequired, SizeGuard
 from .heyting import HeytingAlgebra
 from .sites import Sieve, Topology, territory_topology
-from .tset import TSet, localisation_table, separated_quotient
-
-HOM_GUARD = 10 ** 6
+from .tset import DEFAULT_GUARD, TSet, localisation_table, separated_quotient
 
 
 @dataclass(frozen=True)
@@ -465,7 +463,7 @@ def natural_families(P: Presheaf, Q: Presheaf,
 
 
 def hom_presheaf(P: Presheaf, Q: Presheaf,
-                 guard: int = HOM_GUARD) -> list[NatTransform]:
+                 guard: int = DEFAULT_GUARD) -> list[NatTransform]:
     """All natural transformations P -> Q, enumerated top-down with
     naturality pruning, canonical order."""
     H = P.algebra
@@ -483,7 +481,7 @@ def hom_presheaf(P: Presheaf, Q: Presheaf,
 
 
 def find_presheaf_iso(P: Presheaf, Q: Presheaf,
-                      guard: int = HOM_GUARD) -> NatTransform | None:
+                      guard: int = DEFAULT_GUARD) -> NatTransform | None:
     """A natural isomorphism P -> Q, or None."""
     H = P.algebra
     if H != Q.algebra:

@@ -32,6 +32,7 @@ from .sheaves import (
 )
 from .sites import closed_sieves, principal_sieves, territory_topology
 from .tset import (
+    DEFAULT_GUARD,
     TSet,
     compatible,
     localise_element,
@@ -68,10 +69,16 @@ CHECKS: tuple[str, ...] = (
 class SuiteConfig:
     max_algebra_size: int = 4
     max_carrier_size: int = 3
-    enumeration_guard: int = 10 ** 6
+    enumeration_guard: int = DEFAULT_GUARD
     checks: tuple[str, ...] = CHECKS
 
     def __post_init__(self):
+        for name in ("max_algebra_size", "max_carrier_size",
+                     "enumeration_guard"):
+            value = getattr(self, name)
+            # bool is an int subclass; JSON true must not read as 1
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         # exhaustive pools: past size 6 the poset census is no longer desk scale
         if not 2 <= self.max_algebra_size <= 6:
             raise ValueError("max_algebra_size must be in 2..6")

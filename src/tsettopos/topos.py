@@ -43,94 +43,33 @@ from .tset import (
     principal_tset,
     separated_quotient,
     set_like_tset,
-    validate_relation,
 )
 
 
 # ---------------------------------------------------- T-set level limits
 
 def terminal(H: HeytingAlgebra) -> TSet:
-    """Carrier = the algebra itself, identity = meet."""
-    names = tuple(H.names)
-    table = tuple(
-        tuple(H.meet(p, q) for q in H.elements()) for p in H.elements()
-    )
-    return TSet(H, names, table)
+    """The subterminal at the top: carrier = the algebra itself,
+    identity = meet."""
+    return principal_tset(H, H.top)
 
 
 def unique_to_terminal(A: TSet, one: TSet) -> TRelation:
     return TRelation(A, one, tuple(A.ee(x) for x in range(A.size)))
 
 
-@dataclass(frozen=True)
-class ProductResult:
-    tset: TSet
-    proj1: TRelation
-    proj2: TRelation
-    pairs: tuple[tuple[int, int], ...]
-
-
-def product(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> ProductResult:
-    """All carrier pairs with componentwise identity meet.
-
-    Projections localise each component to the pair's existence degree,
-    so both factors must have their localisations witnessed.
-    """
-    if A.algebra != B.algebra:
-        raise ValueError("product factors live over different algebras")
-    H = A.algebra
-    if A.size * B.size > guard:
-        raise SizeGuard("product carrier", A.size * B.size, guard)
-    pairs = tuple((i, j) for i in range(A.size) for j in range(B.size))
-    names = tuple(f"({A.name(i)},{B.name(j)})" for i, j in pairs)
-    table = tuple(
-        tuple(
-            H.meet(A.ident(i, k), B.ident(j, l))
-            for k, l in pairs
-        )
-        for i, j in pairs
-    )
-    prod = TSet(H, names, table)
-    m1 = []
-    m2 = []
-    for i, j in pairs:
-        e = H.meet(A.ee(i), B.ee(j))
-        m1.append(localise_element(A, i, e))
-        m2.append(localise_element(B, j, e))
-    return ProductResult(
-        prod,
-        TRelation(prod, A, tuple(m1)),
-        TRelation(prod, B, tuple(m2)),
-        pairs,
-    )
-
-
 def mediators(W: TSet, target: TSet,
               constraints: list[tuple[TRelation, TRelation]],
               guard: int = DEFAULT_GUARD) -> list[TRelation]:
     """All valid relations h: W -> target with after . h = required for
-    each (after, required) pair, by exhaustive search over the allowed
-    image sets."""
-    allowed: list[list[int]] = []
-    total = 1
-    for w in range(W.size):
-        ok = [
-            y for y in range(target.size)
-            if target.ee(y) == W.ee(w)
-            and all(a.mapping[y] == r.mapping[w] for a, r in constraints)
-        ]
-        allowed.append(ok)
-        total *= max(len(ok), 1)
-        if total > guard:
-            raise SizeGuard("mediator enumeration", total, guard)
-        if not ok:
-            return []
-    out = []
-    for combo in itertools.product(*allowed):
-        h = TRelation(W, target, tuple(combo))
-        if validate_relation(h).ok:
-            out.append(h)
-    return out
+    each (after, required) pair: the hom-set with each element's images
+    cut down to those the constraints allow."""
+    images = [
+        [y for y in range(target.size)
+         if all(a.mapping[y] == r.mapping[w] for a, r in constraints)]
+        for w in range(W.size)
+    ]
+    return hom_set(W, target, guard, images)
 
 
 def _extensional_classes(hs: list[TRelation]) -> list[list[TRelation]]:
@@ -188,33 +127,53 @@ class PullbackResult:
 
 def pullback(f: TRelation, g: TRelation,
              guard: int = DEFAULT_GUARD) -> PullbackResult:
-    """Pairs whose images in the shared codomain agree at the pair's
-    full existence degree."""
+    """Carrier pairs whose images in the shared codomain agree at the
+    pair's full existence degree, with componentwise identity meet.
+
+    Projections localise each component to the pair's existence degree,
+    so both factors must have those localisations witnessed.  SizeGuard
+    fires before the table is built if it would exceed `guard` cells."""
     if f.target != g.target:
         raise ValueError("pullback needs a shared codomain")
     A, B, C = f.source, g.source, f.target
     H = A.algebra
-    prod = product(A, B, guard)
-    keep = [
-        k for k, (a, b) in enumerate(prod.pairs)
-        if C.ident(f.apply(a), g.apply(b)) == H.meet(A.ee(a), B.ee(b))
-    ]
-    names = tuple(prod.tset.name(k) for k in keep)
+    pairs = tuple(
+        (i, j) for i in range(A.size) for j in range(B.size)
+        if C.ident(f.apply(i), g.apply(j)) == H.meet(A.ee(i), B.ee(j))
+    )
+    if len(pairs) ** 2 > guard:
+        raise SizeGuard("pullback table", len(pairs) ** 2, guard)
+    names = tuple(f"({A.name(i)},{B.name(j)})" for i, j in pairs)
     table = tuple(
-        tuple(prod.tset.ident(k, l) for l in keep) for k in keep
+        tuple(H.meet(A.ident(i, k), B.ident(j, l)) for k, l in pairs)
+        for i, j in pairs
     )
     pb = TSet(H, names, table)
-    m1 = tuple(prod.proj1.mapping[k] for k in keep)
-    m2 = tuple(prod.proj2.mapping[k] for k in keep)
+    m1 = []
+    m2 = []
+    for i, j in pairs:
+        e = H.meet(A.ee(i), B.ee(j))
+        m1.append(localise_element(A, i, e))
+        m2.append(localise_element(B, j, e))
     return PullbackResult(
         pb,
-        TRelation(pb, A, m1),
-        TRelation(pb, B, m2),
-        tuple(prod.pairs[k] for k in keep),
+        TRelation(pb, A, tuple(m1)),
+        TRelation(pb, B, tuple(m2)),
+        pairs,
     )
 
 
-def check_pullback_universal(pb: PullbackResult | ProductResult,
+def product(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> PullbackResult:
+    """A x B, the pullback of the unique arrows to the terminal T-set:
+    every carrier pair survives."""
+    if A.algebra != B.algebra:
+        raise ValueError("product factors live over different algebras")
+    one = terminal(A.algebra)
+    return pullback(unique_to_terminal(A, one), unique_to_terminal(B, one),
+                    guard)
+
+
+def check_pullback_universal(pb: PullbackResult,
                              f: TRelation, g: TRelation, cones: list[TSet],
                              guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
     """Every commuting cone (u, v) from every listed vertex mediates
@@ -250,7 +209,7 @@ def check_pullback_universal(pb: PullbackResult | ProductResult,
     return True, None
 
 
-def check_product_universal(prod: ProductResult, cones: list[TSet],
+def check_product_universal(prod: PullbackResult, cones: list[TSet],
                             guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
     """The product verified as the pullback over the terminal T-set."""
     A, B = prod.proj1.target, prod.proj2.target
@@ -801,26 +760,16 @@ def exposition_counterexample(H: HeytingAlgebra | None = None,
     XXX = product(XX.tset, X, guard)
     quot = separated_quotient(XXX.tset)
     W = quot.tset
-    top = H.top
-    z_idx = X.size - 1
 
+    # the first two limit legs, read at each class representative
     reps = tuple(cls[0] for cls in quot.classes)
-    first = []
-    second = []
-    for w in range(W.size):
-        k, _ = XXX.pairs[reps[w]]
-        i, j = XX.pairs[k]
-        if W.ee(w) == top:
-            first.append(i)
-            second.append(j)
-        else:
-            first.append(z_idx)
-            second.append(z_idx)
-    p1 = TRelation(W, X, tuple(first))
-    p2 = TRelation(W, X, tuple(second))
+    p1, p2 = (
+        TRelation(W, X, tuple(leg.mapping[r] for r in reps))
+        for leg in (XX.proj1.compose(XXX.proj1), XX.proj2.compose(XXX.proj1))
+    )
 
     flawed = mediators(W, W, [(p1, p1), (p2, p2)], guard)
-    proper_triples = sum(1 for w in range(W.size) if W.ee(w) == top)
+    proper_triples = sum(1 for w in range(W.size) if W.ee(w) == H.top)
     expected = proper_size ** proper_triples
 
     gr = graph(identity_relation(X))

@@ -123,10 +123,6 @@ def validate_tset(t: TSet, require_separated: bool = False) -> TSetReport:
     return TSetReport(not bad, tuple(bad))
 
 
-def existence(t: TSet, x: int) -> int:
-    return t.ee(x)
-
-
 def is_atom(t: TSet, a: Iterable[int]) -> tuple[bool, tuple | None]:
     """Both atom inequalities; returns (ok, witness-or-None)."""
     H = t.algebra
@@ -421,19 +417,22 @@ def extensionally_equal(r1: TRelation, r2: TRelation) -> bool:
     )
 
 
-def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> list[TRelation]:
+def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,
+            images: list[list[int]] | None = None) -> list[TRelation]:
     """All valid relations A -> B, lexicographic by mapping tuple.
 
-    Images are constrained per element by existence, then by each
-    localisation square as soon as both its positions are assigned;
-    leaves are confirmed by the full validator.
+    Images are constrained per element by existence (and to images[x],
+    an increasing list, when given), then by each localisation square
+    as soon as both its positions are assigned; leaves are confirmed by
+    the full validator.
     """
     if A.algebra != B.algebra:
         return []
     H = A.algebra
     loc_a = localisation_table(A)
     cands = [
-        [y for y in range(B.size) if B.ee(y) == A.ee(x)]
+        [y for y in (range(B.size) if images is None else images[x])
+         if B.ee(y) == A.ee(x)]
         for x in range(A.size)
     ]
     total = 1

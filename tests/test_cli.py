@@ -1,9 +1,14 @@
 """Command line surface: exit codes, output shapes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tsettopos
 from tsettopos import (
     chain3,
     diamond,
@@ -219,6 +224,11 @@ def test_laws_bad_config(tmp_path):
     assert run_command(["laws", "--config", str(cfg)]) == 2
     cfg.write_text(json.dumps({"seed": 20260822}))
     assert run_command(["laws", "--config", str(cfg)]) == 2
+    for doc in ({"max_algebra_size": 4.0}, {"max_carrier_size": 2.0},
+                {"max_carrier_size": True}, {"enumeration_guard": 2.5},
+                {"checks": {"sg": 1}}):
+        cfg.write_text(json.dumps(doc))
+        assert run_command(["laws", "--config", str(cfg)]) == 2
 
 
 def test_laws_deterministic(tmp_path, capsys):
@@ -248,3 +258,18 @@ def test_validate_relation_file(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert run_command(["validate", str(path)]) == 0
     assert "validate-relation" in capsys.readouterr().out
+
+
+def test_python_dash_m_entry_point():
+    # stderr stays empty: no RuntimeWarning about a submodule that the
+    # package had already imported
+    src = str(Path(tsettopos.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    data = Path(__file__).resolve().parents[1] / "data" / "chain3.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tsettopos", "validate", str(data)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

@@ -32,6 +32,10 @@ def test_config_rejects_bad_bounds():
         SuiteConfig(max_carrier_size=-1)
     with pytest.raises(ValueError):
         SuiteConfig(enumeration_guard=0)
+    with pytest.raises(ValueError):
+        SuiteConfig(max_algebra_size=4.0)
+    with pytest.raises(ValueError):
+        SuiteConfig(max_carrier_size=True)
 
 
 def test_config_rejects_unknown_check():

@@ -9,7 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsettopos import (
+    CounterexampleReport,
+    PostulateRequired,
     SgReport,
+    SizeGuard,
+    TRelation,
     algebra_pool,
     chain3,
     check_adjunction,
@@ -31,6 +35,7 @@ from tsettopos import (
     hom_set,
     identity_relation,
     is_sheaf,
+    localise_element,
     make_presheaf,
     make_tset,
     mediators,
@@ -57,6 +62,7 @@ from tsettopos import (
 )
 from strategies import ALGEBRAS, tsets
 from tsettopos import topos
+from tsettopos.heyting import NAMED_ALGEBRAS
 from tsettopos.sheaves import NatTransform, PresheafPullback
 from tsettopos.topos import (
     product_universal_presheaf,
@@ -230,6 +236,115 @@ def test_counterexample_degenerate_point():
     assert rep.flawed_count == 1
     assert not rep.refuted
     assert rep.corrected_unique
+
+
+def _direct_product(A, B):
+    """A x B built straight from every carrier pair, not as a pullback:
+    componentwise identity meet, projections localised to each pair's
+    existence degree."""
+    H = A.algebra
+    pairs = tuple((i, j) for i in range(A.size) for j in range(B.size))
+    names = tuple(f"({A.name(i)},{B.name(j)})" for i, j in pairs)
+    table = tuple(
+        tuple(H.meet(A.ident(i, k), B.ident(j, l)) for k, l in pairs)
+        for i, j in pairs
+    )
+    prod = make_tset(H, names, table)
+    m1 = []
+    m2 = []
+    for i, j in pairs:
+        e = H.meet(A.ee(i), B.ee(j))
+        m1.append(localise_element(A, i, e))
+        m2.append(localise_element(B, j, e))
+    return topos.PullbackResult(prod, TRelation(prod, A, tuple(m1)),
+                                TRelation(prod, B, tuple(m2)), pairs)
+
+
+def _product_outcome(build):
+    try:
+        return build()
+    except PostulateRequired:
+        return "PostulateRequired"
+
+
+@pytest.mark.parametrize("H", [H for _, H in CROSS_LEVEL],
+                         ids=[lbl for lbl, _ in CROSS_LEVEL])
+def test_product_matches_direct_construction(H):
+    separated = tset_pool(H, 3)
+    quasi = tset_pool(H, 2, require_separated=False, require_postulate=False,
+                      include_empty=True)
+    for pool in (separated, quasi):
+        for A in pool:
+            for B in pool:
+                assert _product_outcome(lambda: product(A, B)) == \
+                    _product_outcome(lambda: _direct_product(A, B))
+
+
+def test_product_guard_bounds_the_table():
+    # 10 elements: 100 pairs, a 10 000-cell identity table
+    X = set_like_tset(two_element(), 9)
+    with pytest.raises(SizeGuard) as err:
+        product(X, X, guard=1000)
+    assert err.value.size == 10_000
+
+
+def _leaf_filtered_mediators(W, target, constraints, guard):
+    """Every combination of allowed images, each kept if it validates."""
+    allowed = []
+    total = 1
+    for w in range(W.size):
+        ok = [
+            y for y in range(target.size)
+            if target.ee(y) == W.ee(w)
+            and all(a.mapping[y] == r.mapping[w] for a, r in constraints)
+        ]
+        allowed.append(ok)
+        total *= max(len(ok), 1)
+        if total > guard:
+            raise SizeGuard("mediator enumeration", total, guard)
+        if not ok:
+            return []
+    out = []
+    for combo in itertools.product(*allowed):
+        h = TRelation(W, target, tuple(combo))
+        if validate_relation(h).ok:
+            out.append(h)
+    return out
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond", "two_element"])
+def test_mediators_match_leaf_filter_on_exposition_calls(monkeypatch, name):
+    H = NAMED_ALGEBRAS[name]()
+    calls = []
+    real = topos.mediators
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(topos, "mediators", spy)
+    for size in range(3):
+        exposition_counterexample(H, size)
+    assert len(calls) == 6
+    for args in calls:
+        assert real(*args) == _leaf_filtered_mediators(*args)
+    with pytest.raises(SizeGuard):
+        exposition_counterexample(H, 3)
+    for search in (real, _leaf_filtered_mediators):
+        with pytest.raises(SizeGuard) as err:
+            search(*calls[-1])
+        assert err.value.size == 1_594_323
+
+
+@pytest.mark.parametrize("name", ["chain3", "diamond", "two_element"])
+@pytest.mark.parametrize("size,vertex,flawed", [(0, 1, 1), (1, 2, 1),
+                                                (2, 9, 256)])
+def test_counterexample_reports_frozen(name, size, vertex, flawed):
+    rep = exposition_counterexample(NAMED_ALGEBRAS[name](), size)
+    assert rep == CounterexampleReport(
+        proper_size=size, vertex_size=vertex, flawed_count=flawed,
+        expected_flawed=flawed, corrected_count=1, refuted=flawed >= 2,
+        corrected_unique=True)
 
 
 def test_omega_levels_are_closed_sieves():

@@ -8,7 +8,6 @@ from tsettopos import (
     atoms,
     chain3,
     compatible,
-    existence,
     extensionally_equal,
     family_envelope,
     hom_set,
@@ -50,7 +49,7 @@ def test_set_like_tset_shape():
     t = set_like_tset(H, 2)
     assert t.size == 3
     # two points at full existence, one null point at bottom
-    degrees = sorted(existence(t, x) for x in range(t.size))
+    degrees = sorted(t.ee(x) for x in range(t.size))
     assert degrees == [H.bottom, H.top, H.top]
     assert validate_tset(t, require_separated=True).ok
     assert satisfies_postulate(t).ok
