@@ -41,6 +41,7 @@ from .suites import (
 )
 from .topos import exposition_counterexample, omega
 from .tset import (
+    TSet,
     atoms,
     real_witnesses,
     satisfies_postulate,
@@ -72,28 +73,27 @@ def _cmd_validate(args) -> int:
             note = ("complete Heyting algebra, "
                     + ("Boolean" if H.is_boolean() else "non-Boolean"))
             rows = [CheckResult("validate-algebra", stem, "pass", note)]
-    elif kind == "tset":
-        t = tset_from_dict(doc, path.parent)
-        rep = validate_tset(t)
-        rows = [CheckResult(
-            "validate-tset", stem, "pass" if rep.ok else "fail",
-            None if rep.ok else repr(rep.violations[0]),
-        )]
-    elif kind == "relation":
-        r = relation_from_dict(doc, path.parent)
-        rep = validate_relation(r)
-        rows = [CheckResult(
-            "validate-relation", stem, "pass" if rep.ok else "fail",
-            None if rep.ok else repr(rep.violations[0]),
-        )]
     else:
-        P = presheaf_from_dict(doc, path.parent, check=False)
-        rep = validate_presheaf(P)
+        if kind == "tset":
+            rep = validate_tset(tset_from_dict(doc, path.parent))
+        elif kind == "relation":
+            rep = validate_relation(relation_from_dict(doc, path.parent))
+        else:
+            rep = validate_presheaf(
+                presheaf_from_dict(doc, path.parent, check=False))
         rows = [CheckResult(
-            "validate-presheaf", stem, "pass" if rep.ok else "fail",
+            f"validate-{kind}", stem, "pass" if rep.ok else "fail",
             None if rep.ok else repr(rep.violations[0]),
         )]
     return _emit(rows, args.format, "validate", {"file": str(path)})
+
+
+def _valid_tset(doc: dict, path: Path) -> TSet:
+    """The T-set of a tset file; SchemaError names its first violation."""
+    t = tset_from_dict(doc, path.parent)
+    if not (rep := validate_tset(t)).ok:
+        raise SchemaError(f"{path.name} is not a T-set: {rep.violations[0]!r}")
+    return t
 
 
 def _cmd_atoms(args) -> int:
@@ -101,7 +101,7 @@ def _cmd_atoms(args) -> int:
     doc = read_doc(path)
     if detect_kind(doc) != "tset":
         raise SchemaError("atoms needs a tset file")
-    t = tset_from_dict(doc, path.parent)
+    t = _valid_tset(doc, path)
     H = t.algebra
     rows = []
     for a in atoms(t):
@@ -124,7 +124,7 @@ def _cmd_sheafify(args) -> int:
     doc = read_doc(path)
     kind = detect_kind(doc)
     if kind == "tset":
-        t = tset_from_dict(doc, path.parent)
+        t = _valid_tset(doc, path)
         out_obj = singleton_completion(t).tset
         note = f"completed carrier {t.size} -> {out_obj.size}"
     elif kind == "presheaf":

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from .errors import NotASheaf, PostulateRequired, SizeGuard
 from .heyting import HeytingAlgebra
 from .sites import Sieve, Topology, territory_topology
-from .tset import DEFAULT_GUARD, TSet, localisation_table, separated_quotient
+from .tset import (
+    DEFAULT_GUARD,
+    TSet,
+    ValidationReport,
+    localisation_table,
+    separated_quotient,
+)
 
 
 @dataclass(frozen=True)
@@ -84,23 +90,17 @@ def make_presheaf(H: HeytingAlgebra, sections, restrict) -> Presheaf:
     return Presheaf(H, secs, tuple(map(tuple, tables)))
 
 
-@dataclass(frozen=True)
-class PresheafReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
-
-
-def validate_presheaf(P: Presheaf) -> PresheafReport:
+def validate_presheaf(P: Presheaf) -> ValidationReport:
     """Shape, range, identity and composition of restriction maps."""
     H = P.algebra
     bad: list[tuple[str, tuple]] = []
     if len(P.sections) != H.size or len(P.tables) != H.size:
-        return PresheafReport(False, (("shape", ()),))
+        return ValidationReport(False, (("shape", ()),))
     pairs = {(p, q) for p, row in enumerate(P.tables)
              for q, tab in enumerate(row) if tab is not None}
     wanted = {(p, q) for p in H.elements() for q in H.down(p)}
     if pairs != wanted or any(len(row) != H.size for row in P.tables):
-        return PresheafReport(False, (("pairs", tuple(sorted(pairs ^ wanted))),))
+        return ValidationReport(False, (("pairs", tuple(sorted(pairs ^ wanted))),))
     T = P.tables
     for p in H.elements():
         for q in H.down(p):
@@ -115,7 +115,7 @@ def validate_presheaf(P: Presheaf) -> PresheafReport:
             for r in H.down(q):
                 if tuple(T[q][r][v] for v in T[p][q]) != T[p][r]:
                     bad.append(("composition", (H.name(p), H.name(q), H.name(r))))
-    return PresheafReport(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 # ----------------------------------------------------------- T-set bridge

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import NotBelow
 from .heyting import HeytingAlgebra
+from .tset import ValidationReport
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,7 @@ class Topology:
         return sorted(self.covers[p], key=lambda s: (len(s), sorted(s)))
 
 
-@dataclass(frozen=True)
-class TopologyReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
-
-
-def validate_topology(J: Topology) -> TopologyReport:
+def validate_topology(J: Topology) -> ValidationReport:
     """Maximality, stability under pullback, and transitivity.
 
     Transitivity is the non-vacuous form: a sieve R at p belongs to J(p)
@@ -99,7 +94,7 @@ def validate_topology(J: Topology) -> TopologyReport:
                     for q in S
                 ):
                     bad.append(("transitivity", (H.name(p), tuple(sorted(R)))))
-    return TopologyReport(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 def territory_topology(H: HeytingAlgebra) -> Topology:

@@ -7,6 +7,7 @@ renders to identical bytes across runs.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import asdict, dataclass
 
@@ -155,25 +156,29 @@ def _row(check: str, instance: str, ok: bool,
     )
 
 
+def _heyting_violation(H: HeytingAlgebra) -> tuple | None:
+    for p in H.elements():
+        if H.meet(p, H.neg(p)) != H.bottom:
+            return ("noncontradiction", H.name(p))
+        if not H.le(p, H.neg(H.neg(p))):
+            return ("double-negation", H.name(p))
+        for q in H.elements():
+            for t in H.elements():
+                if H.le(H.meet(p, t), q) != H.le(t, H.implies(p, q)):
+                    return ("adjunction", H.name(p), H.name(q), H.name(t))
+    for s in subsets(H):
+        e = H.sigma(s)
+        for p in H.elements():
+            if H.meet(p, e) != H.sigma(H.meet(p, x) for x in s):
+                return ("frame", H.name(p), tuple(H.name(x) for x in s))
+    return None
+
+
 def _check_heyting_laws(config: SuiteConfig,
                         pool: InstancePool) -> list[CheckResult]:
     out = []
     for lbl, H in pool.algebras:
-        bad = None
-        for p in H.elements():
-            if H.meet(p, H.neg(p)) != H.bottom:
-                bad = ("noncontradiction", H.name(p))
-            if not H.le(p, H.neg(H.neg(p))):
-                bad = ("double-negation", H.name(p))
-            for q in H.elements():
-                for t in H.elements():
-                    if H.le(H.meet(p, t), q) != H.le(t, H.implies(p, q)):
-                        bad = ("adjunction", H.name(p), H.name(q), H.name(t))
-        for s in subsets(H):
-            e = H.sigma(s)
-            for p in H.elements():
-                if H.meet(p, e) != H.sigma(H.meet(p, x) for x in s):
-                    bad = ("frame", H.name(p), tuple(H.name(x) for x in s))
+        bad = _heyting_violation(H)
         out.append(_row("heyting-laws", lbl, bad is None, bad))
     for name, err in pool.rejected:
         out.append(_row("heyting-laws", f"{name}-reject", err == "NotDistributive"))
@@ -211,13 +216,13 @@ def _check_localisation_equivalence(config: SuiteConfig,
     for lbl, t in pool.tsets:
         H = t.algebra
         bad = None
-        for a in range(t.size):
-            for b in range(t.size):
-                c1 = localise_element(t, b, t.ee(a)) == a
-                c2 = compatible(t, a, b) and H.le(t.ee(a), t.ee(b))
-                c3 = t.ee(a) == t.ident(a, b)
-                if not (c1 == c2 == c3):
-                    bad = (t.name(a), t.name(b), c1, c2, c3)
+        for a, b in itertools.product(range(t.size), repeat=2):
+            c1 = localise_element(t, b, t.ee(a)) == a
+            c2 = compatible(t, a, b) and H.le(t.ee(a), t.ee(b))
+            c3 = t.ee(a) == t.ident(a, b)
+            if not (c1 == c2 == c3):
+                bad = (t.name(a), t.name(b), c1, c2, c3)
+                break
         out.append(_row("localisation-equivalence", lbl, bad is None, bad))
     return out
 
@@ -229,10 +234,10 @@ def _check_omega_closed_sieves(config: SuiteConfig,
         J = territory_topology(H)
         bad = None
         for p in H.elements():
-            want = set(principal_sieves(H, p))
             got = set(closed_sieves(H, J, p))
-            if got != want:
+            if got != set(principal_sieves(H, p)):
                 bad = (H.name(p), sorted(map(sorted, got)))
+                break
         out.append(_row("omega-closed-sieves", lbl, bad is None, bad))
         om = omega(H, J)
         out.append(_row("omega-closed-sieves", f"{lbl}/sheaf",

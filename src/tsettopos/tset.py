@@ -84,23 +84,23 @@ def set_like_tset(H: HeytingAlgebra, n: int) -> TSet:
 
 
 @dataclass(frozen=True)
-class TSetReport:
+class ValidationReport:
     ok: bool
     violations: tuple[tuple[str, tuple], ...]
 
 
-def validate_tset(t: TSet, require_separated: bool = False) -> TSetReport:
+def validate_tset(t: TSet, require_separated: bool = False) -> ValidationReport:
     """Check symmetry, transitivity, the derived existence bound, and
     (optionally) separatedness.  Violations carry element-name witnesses."""
     H = t.algebra
     n = t.size
     bad: list[tuple[str, tuple]] = []
     if len(t.id_table) != n or any(len(r) != n for r in t.id_table):
-        return TSetReport(False, (("shape", (n,)),))
+        return ValidationReport(False, (("shape", (n,)),))
     for x in range(n):
         for y in range(n):
             if not (0 <= t.id_table[x][y] < H.size):
-                return TSetReport(False, (("range", (t.name(x), t.name(y))),))
+                return ValidationReport(False, (("range", (t.name(x), t.name(y))),))
     for x in range(n):
         for y in range(x + 1, n):
             if t.ident(x, y) != t.ident(y, x):
@@ -120,7 +120,7 @@ def validate_tset(t: TSet, require_separated: bool = False) -> TSetReport:
             for y in range(x + 1, n):
                 if t.ident(x, y) == t.ee(x) == t.ee(y):
                     bad.append(("separated", (t.name(x), t.name(y))))
-    return TSetReport(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 def is_atom(t: TSet, a: Iterable[int]) -> tuple[bool, tuple | None]:
@@ -360,16 +360,14 @@ def identity_relation(t: TSet) -> TRelation:
     return TRelation(t, t, tuple(range(t.size)))
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    ok: bool
-    violations: tuple[tuple[str, tuple], ...]
-
-
-def validate_relation(r: TRelation, *, _loc=None) -> RelationReport:
+def validate_relation(r: TRelation) -> ValidationReport:
     """Existence preservation and commutation with localisation, plus the
     derived facts (Id inequality, compatibility preservation) checked
     rather than assumed.
+
+    On valid T-sets the other two follow from existence and the Id
+    inequality (see ``hom_set``); all four are checked because relation
+    files may name invalid T-sets, and ``hom_set`` is tested against this.
 
     The localisation square is enforced wherever the source witness
     exists: when w realises x at p, the image of w must realise the
@@ -379,12 +377,12 @@ def validate_relation(r: TRelation, *, _loc=None) -> RelationReport:
     """
     A, B = r.source, r.target
     if A.algebra != B.algebra:
-        return RelationReport(False, (("algebra", ()),))
+        return ValidationReport(False, (("algebra", ()),))
     H = A.algebra
     if len(r.mapping) != A.size or any(not 0 <= v < B.size for v in r.mapping):
-        return RelationReport(False, (("shape", ()),))
+        return ValidationReport(False, (("shape", ()),))
     bad: list[tuple[str, tuple]] = []
-    loc_a = _loc if _loc is not None else localisation_table(A)
+    loc_a = localisation_table(A)
     for x in range(A.size):
         if B.ee(r.mapping[x]) != A.ee(x):
             bad.append(("existence", (A.name(x),)))
@@ -401,7 +399,7 @@ def validate_relation(r: TRelation, *, _loc=None) -> RelationReport:
                 bad.append(("id-monotone", (A.name(x), A.name(y))))
             if compatible(A, x, y) and not compatible(B, r.mapping[x], r.mapping[y]):
                 bad.append(("compatibility", (A.name(x), A.name(y))))
-    return RelationReport(not bad, tuple(bad))
+    return ValidationReport(not bad, tuple(bad))
 
 
 def extensionally_equal(r1: TRelation, r2: TRelation) -> bool:
@@ -419,17 +417,25 @@ def extensionally_equal(r1: TRelation, r2: TRelation) -> bool:
 
 def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,
             images: list[list[int]] | None = None) -> list[TRelation]:
-    """All valid relations A -> B, lexicographic by mapping tuple.
+    """All relations A -> B, lexicographic by mapping tuple.
 
-    Images are constrained per element by existence (and to images[x],
-    an increasing list, when given), then by each localisation square
-    as soon as both its positions are assigned; leaves are confirmed by
-    the full validator.
+    A and B must be valid T-sets, as every caller's are.  A relation is
+    then a carrier map that preserves existence and never lowers
+    identity, Id(x, y) <= Id(rx, ry): images are filtered by existence
+    (and to images[x], an increasing list, when given), each is pruned
+    by that inequality against every earlier position, and every leaf
+    is a relation.  The other two conditions of ``validate_relation``
+    follow:
+
+    - localisation: if w witnesses x at p then Id(x, w) = Ee x & p, so
+      monotonicity gives Id(rx, rw) >= Ee x & p and B's existence
+      bound gives <=;
+    - compatibility: on a valid T-set x and y are compatible iff
+      Id(x, y) = Ee x & Ee y, and monotonicity carries that over.
     """
     if A.algebra != B.algebra:
         return []
     H = A.algebra
-    loc_a = localisation_table(A)
     cands = [
         [y for y in (range(B.size) if images is None else images[x])
          if B.ee(y) == A.ee(x)]
@@ -446,28 +452,14 @@ def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,
     out: list[TRelation] = []
     mapping: list[int] = []
 
-    def consistent(i: int, v: int) -> bool:
-        # squares (x, p) complete once position max(x, witness) is filled
-        for p in H.elements():
-            w = loc_a[i][p]
-            if w is not None and w < i:
-                if B.ident(v, mapping[w]) != H.meet(A.ee(i), p):
-                    return False
-        for j in range(i):
-            for p in H.elements():
-                if loc_a[j][p] == i:
-                    if B.ident(mapping[j], v) != H.meet(A.ee(j), p):
-                        return False
-        return True
-
     def rec(i: int):
         if i == A.size:
-            r = TRelation(A, B, tuple(mapping))
-            if validate_relation(r, _loc=loc_a).ok:
-                out.append(r)
+            out.append(TRelation(A, B, tuple(mapping)))
             return
+        row = A.row(i)
         for v in cands[i]:
-            if consistent(i, v):
+            image_row = B.row(v)
+            if all(H.le(row[j], image_row[w]) for j, w in enumerate(mapping)):
                 mapping.append(v)
                 rec(i + 1)
                 mapping.pop()
@@ -485,8 +477,10 @@ def extensionally_isomorphic(A: TSet, B: TSet,
     comparing constructed limits."""
     id_a = identity_relation(A)
     id_b = identity_relation(B)
-    for f in hom_set(A, B, guard):
-        for g in hom_set(B, A, guard):
+    forth = hom_set(A, B, guard)
+    back = hom_set(B, A, guard) if forth else []
+    for f in forth:
+        for g in back:
             if extensionally_equal(g.compose(f), id_a) and \
                     extensionally_equal(f.compose(g), id_b):
                 return f, g

@@ -106,6 +106,21 @@ def test_sheafify_tset_writes_completion(files, capsys):
     assert run_command(["atoms", str(dest)]) == 0
 
 
+def test_invalid_tset_is_bad_input(tmp_path, capsys):
+    # an asymmetric id table: atoms and sheafify refuse the file as
+    # input, validate reports the violation as a failed check
+    bad = tmp_path / "asymmetric.json"
+    save_structure(bad, make_tset(chain3(), ("x", "y"), ((2, 1), (0, 2))))
+    for command in ("atoms", "sheafify"):
+        assert run_command([command, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "symmetry" in captured.err and "Traceback" not in captured.err
+    assert run_command(["validate", str(bad)]) == 1
+    assert "FAIL validate-tset" in capsys.readouterr().out
+
+
 def test_sheafify_presheaf_to_stdout(files, capsys):
     assert run_command(["sheafify", str(files["presheaf"])]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -15,7 +15,8 @@ from tsettopos import (
     report_text,
     run_suite,
 )
-from tsettopos.suites import CHECKS
+from tsettopos import suites
+from tsettopos.suites import CHECKS, InstancePool
 
 
 def test_config_defaults_valid():
@@ -158,6 +159,53 @@ def test_terminal_and_naturality_failures_carry_witnesses(monkeypatch):
         assert (r.status, r.witness) == ("fail", repr(2))
     for r in rows["evaluation-natural"] + rows["truth-natural"]:
         assert (r.status, r.witness) == ("fail", repr(("M", "p", 0)))
+
+
+def _only(**fields):
+    empty = dict(algebras=(), rejected=(), tsets=(), quasi=(), sheaves=())
+    return InstancePool(**(empty | fields))
+
+
+def test_heyting_laws_report_first_violation():
+    import dataclasses
+
+    from tsettopos import chain3
+
+    H = chain3()
+    # p -> mu becomes p: noncontradiction fails at p, and so (later in
+    # the sweep) does the adjunction at (p, mu, p)
+    imp = [list(row) for row in H.imp_table]
+    imp[1][0] = 1
+    broken = dataclasses.replace(H, imp_table=tuple(map(tuple, imp)))
+    [row] = suites._check_heyting_laws(
+        SuiteConfig(), _only(algebras=(("broken", broken),)))
+    assert (row.status, row.witness) == (
+        "fail", repr(("noncontradiction", "p")))
+
+
+def test_localisation_equivalence_reports_first_violation(monkeypatch):
+    from tsettopos import set_like_tset, two_element
+
+    # with compatibility always false, every diagonal pair disagrees
+    monkeypatch.setattr(suites, "compatible", lambda t, a, b: False)
+    t = set_like_tset(two_element(), 2)
+    [row] = suites._check_localisation_equivalence(
+        SuiteConfig(), _only(tsets=(("set2", t),)))
+    assert (row.status, row.witness) == (
+        "fail", repr(("u0", "u0", True, False, True)))
+
+
+def test_omega_closed_sieves_reports_first_violation(monkeypatch):
+    from tsettopos import chain3, closed_sieves, territory_topology
+
+    H = chain3()
+    # no principal sieves: every level disagrees, the bottom first
+    monkeypatch.setattr(suites, "principal_sieves", lambda H, p: [])
+    row = suites._check_omega_closed_sieves(
+        SuiteConfig(), _only(algebras=(("chain3", H),)))[0]
+    got = closed_sieves(H, territory_topology(H), H.bottom)
+    assert (row.status, row.witness) == (
+        "fail", repr(("mu", sorted(map(sorted, got)))))
 
 
 def test_one_version_string():

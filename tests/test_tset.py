@@ -1,14 +1,22 @@
 """Identity-valued sets: laws, atoms, localisation, completion, morphisms."""
 
+import hashlib
+import itertools
+
 import pytest
 from hypothesis import given
 
 from tsettopos import (
     NotAtom,
+    TRelation,
+    algebra_pool,
     atoms,
     chain3,
     compatible,
+    diamond,
+    doubled_point_tset,
     extensionally_equal,
+    extensionally_isomorphic,
     family_envelope,
     hom_set,
     identity_relation,
@@ -22,10 +30,12 @@ from tsettopos import (
     separated_quotient,
     set_like_tset,
     singleton_completion,
+    tset_pool,
     two_element,
     validate_relation,
     validate_tset,
 )
+from tsettopos import tset as tset_module
 from strategies import relations, tset_elements, tsets
 
 
@@ -303,3 +313,65 @@ def test_extensional_equality_on_indiscernibles():
         if not any(extensionally_equal(m, c) for c in classes):
             classes.append(m)
     assert len(classes) == 1
+
+
+HOM_ALGEBRAS = algebra_pool(4) + [("diamond", diamond())]
+
+
+def _quasi_pool(H, max_size):
+    return tset_pool(H, max_size, require_separated=False,
+                     require_postulate=False, include_empty=True)
+
+
+def test_hom_set_is_every_validated_existence_preserving_map():
+    # brute force: every existence-preserving carrier map, in
+    # lexicographic order, kept when the four-condition validator accepts
+    pairs = 0
+    for lbl, H in HOM_ALGEBRAS:
+        pool = tset_pool(H, 3) + _quasi_pool(H, 2)
+        if lbl == "diamond":
+            pool.append(doubled_point_tset(H))
+        for A in pool:
+            for B in pool:
+                cands = [[y for y in range(B.size) if B.ee(y) == A.ee(x)]
+                         for x in range(A.size)]
+                want = [m for m in itertools.product(*cands)
+                        if validate_relation(TRelation(A, B, m)).ok]
+                assert [r.mapping for r in hom_set(A, B)] == want, (A, B)
+                pairs += 1
+    assert pairs == 2778
+
+
+def test_hom_sets_frozen():
+    # every ordered pair of separated T-sets (carriers <= 4) and quasi
+    # T-sets (carriers <= 3, empty included); digest taken from the
+    # search that re-validated every leaf
+    digest = hashlib.sha256()
+    pairs = maps = 0
+    for _, H in HOM_ALGEBRAS:
+        pool = tset_pool(H, 4) + _quasi_pool(H, 3)
+        for A in pool:
+            for B in pool:
+                homs = hom_set(A, B)
+                digest.update(repr([r.mapping for r in homs]).encode())
+                pairs += 1
+                maps += len(homs)
+    assert (pairs, maps) == (35758, 27131)
+    assert digest.hexdigest() == (
+        "7aea7a6708ce7b962e0972ec98ffc79730838a60de461e640b1991fc4d7e8566")
+
+
+def test_extensionally_isomorphic_enumerates_each_direction_once(monkeypatch):
+    calls = []
+    real = tset_module.hom_set
+
+    def counting(A, B, guard):
+        calls.append((A, B))
+        return real(A, B, guard)
+
+    monkeypatch.setattr(tset_module, "hom_set", counting)
+    t = set_like_tset(two_element(), 2)
+    # the first map collapses both points, so the search reaches a
+    # second f before it finds the identity pair
+    assert extensionally_isomorphic(t, t) is not None
+    assert len(calls) == 2
