@@ -42,6 +42,7 @@ from .suites import (
 from .topos import exposition_counterexample, omega
 from .tset import (
     TSet,
+    ValidationReport,
     atoms,
     real_witnesses,
     satisfies_postulate,
@@ -77,7 +78,11 @@ def _cmd_validate(args) -> int:
         if kind == "tset":
             rep = validate_tset(tset_from_dict(doc, path.parent))
         elif kind == "relation":
-            rep = validate_relation(relation_from_dict(doc, path.parent))
+            r = relation_from_dict(doc, path.parent)
+            bad = tuple((side, v.violations[0]) for side, v in (
+                ("source", validate_tset(r.source)),
+                ("target", validate_tset(r.target))) if not v.ok)
+            rep = ValidationReport(False, bad) if bad else validate_relation(r)
         else:
             rep = validate_presheaf(
                 presheaf_from_dict(doc, path.parent, check=False))

@@ -131,6 +131,8 @@ def relation_from_dict(doc: dict, base: Path | None = None) -> TRelation:
     m = doc.get("map")
     if not isinstance(m, dict):
         raise SchemaError("relation map must be an object")
+    if extra := set(m) - set(src.elements):
+        raise SchemaError(f"relation map names unknown elements {sorted(extra)}")
     try:
         mapping = tuple(tgt.index(str(m[name])) for name in src.elements)
     except KeyError as e:
@@ -191,6 +193,8 @@ def presheaf_from_dict(doc: dict, base: Path | None = None, *,
         entry = raw_restrict[key]
         if not isinstance(entry, dict):
             raise SchemaError(f"restrict {key} must be an object")
+        if extra := set(entry) - set(sections[p]):
+            raise SchemaError(f"restrict {key} names unknown sections {sorted(extra)}")
         row = []
         for s in sections[p]:
             if s not in entry:

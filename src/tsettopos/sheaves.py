@@ -3,8 +3,15 @@
 Sections live over algebra elements; restriction follows the order.
 T-sets with all localisations witnessed present as presheaves whose
 p-sections are the elements existing exactly at p; sheaves convert back
-via the agreement-degree identity.  Sheafification is the one-step
-collation construction applied twice.
+via the agreement-degree identity.  Sheafification is the plus
+construction applied twice.
+
+J must be a Grothendieck topology (``territory_topology`` is the only
+constructor), so every cover of p contains the least cover L(p), and
+the sheaf condition and the plus construction read L(p) alone:
+  - a family over a cover S restricts to L(p) inside S;
+  - L(p) meets each q < p in a cover of q, which contains L(q);
+  - so a failure at (p, S) is a failure at L(p) or at some L(q), q in S.
 """
 
 from __future__ import annotations
@@ -273,105 +280,57 @@ class SheafReport:
 
 
 def is_separated(P: Presheaf, J: Topology) -> SheafReport:
-    """No two distinct sections agree on a whole cover."""
+    """No two distinct sections agree on a whole cover; a pair agreeing
+    on some cover agrees on L(p), so only least covers are read."""
     H = P.algebra
     for p in H.elements():
-        for S in J.covering(p):
-            for x in range(P.n(p)):
-                for y in range(x + 1, P.n(p)):
-                    if all(P.restrict(p, q, x) == P.restrict(p, q, y) for q in S):
-                        return SheafReport(
-                            False,
-                            (H.name(p), tuple(sorted(S)),
-                             P.section_name(p, x), P.section_name(p, y)),
-                        )
+        L = J.least(p)
+        for x in range(P.n(p)):
+            for y in range(x + 1, P.n(p)):
+                if all(P.restrict(p, q, x) == P.restrict(p, q, y) for q in L):
+                    return SheafReport(False, (
+                        H.name(p), tuple(sorted(L)),
+                        P.section_name(p, x), P.section_name(p, y)))
     return SheafReport(True, None)
 
 
 def is_sheaf(P: Presheaf, J: Topology) -> SheafReport:
-    """Every matching family over every cover amalgamates exactly once."""
+    """Every matching family over every cover amalgamates exactly once;
+    by the module docstring's argument only least covers are read."""
     H = P.algebra
     for p in H.elements():
-        for S in J.covering(p):
-            sieve = Sieve(H, p, S)
-            for m in matching_families(P, sieve):
-                n = len(amalgamate(P, m))
-                if n != 1:
-                    return SheafReport(
-                        False, (H.name(p), tuple(sorted(S)), m.choice, n)
-                    )
+        L = J.least(p)
+        for m in matching_families(P, Sieve(H, p, L)):
+            if (n := len(amalgamate(P, m))) != 1:
+                return SheafReport(False, (H.name(p), tuple(sorted(L)), m.choice, n))
     return SheafReport(True, None)
 
 
 # --------------------------------------------------------- sheafification
 
 def _collate_once(P: Presheaf, J: Topology) -> Presheaf:
-    """One application of the collation step: sections at p become
-    matching families over covers of p, identified when they agree on a
-    common covering refinement."""
+    """The plus construction on least covers.  Families over covers of p
+    agreeing on a common cover agree on L(p), so a section at p is one
+    matching family over L(p); restriction to q < p cuts it down to
+    L(q), which lies inside L(p) and below q."""
     H = P.algebra
-    pairs_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for p in H.elements():
-        pairs = []
-        for S in J.covering(p):
-            sieve = Sieve(H, p, S)
-            for m in matching_families(P, sieve):
-                pairs.append((tuple(sorted(S)), m.choice))
-        pairs.sort()
-        pairs_at.append(pairs)
-
-    def agree(p: int, a, b) -> bool:
-        sa, fa = a
-        sb, fb = b
-        inter = set(sa) & set(sb)
-        for S3 in J.covering(p):
-            if not S3 <= inter:
-                continue
-            ia = {q: fa[k] for k, q in enumerate(sa)}
-            ib = {q: fb[k] for k, q in enumerate(sb)}
-            if all(ia[q] == ib[q] for q in S3):
-                return True
-        return False
-
-    class_of: list[dict] = []
-    classes_at: list[list[tuple]] = []
-    for p in H.elements():
-        pairs = pairs_at[p]
-        labels: dict = {}
-        classes: list[tuple] = []
-        for pair in pairs:
-            for rep in classes:
-                if agree(p, pair, rep):
-                    labels[pair] = labels[rep]
-                    break
-            else:
-                labels[pair] = len(classes)
-                classes.append(pair)
-        class_of.append(labels)
-        classes_at.append(classes)
-
-    sections = tuple(
-        tuple(f"{H.name(p)}+{k}" for k in range(len(classes_at[p])))
-        for p in H.elements()
-    )
+    least = [J.least(p) for p in H.elements()]
+    fams = [[m.choice for m in matching_families(P, Sieve(H, p, L))]
+            for p, L in enumerate(least)]
+    index = [{f: k for k, f in enumerate(level)} for level in fams]
+    sections = tuple(tuple(f"{H.name(p)}+{k}" for k in range(len(level)))
+                     for p, level in enumerate(fams))
     restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            row = []
-            below = set(H.down(q))
-            for rep in classes_at[p]:
-                sa, fa = rep
-                keep = [k for k, m in enumerate(sa) if m in below]
-                cut = (tuple(sa[k] for k in keep), tuple(fa[k] for k in keep))
-                row.append(class_of[q][cut])
-            restrict[(p, q)] = tuple(row)
+    for q, p in H.covers():
+        # choices align with the sorted members of each least cover
+        keep = [k for k, m in enumerate(sorted(least[p])) if m in least[q]]
+        restrict[(p, q)] = tuple(
+            index[q][tuple(f[k] for k in keep)] for f in fams[p])
     return make_presheaf(H, sections, restrict)
 
 
 def sheafify(P: Presheaf, J: Topology) -> Presheaf:
-    """Collation applied twice; the result always satisfies is_sheaf."""
+    """The plus construction twice; the result always satisfies is_sheaf."""
     return _collate_once(_collate_once(P, J), J)
 
 

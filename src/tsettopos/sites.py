@@ -4,8 +4,10 @@ Arrows of the site are order pairs q <= p, so a sieve at p is just a
 downward-closed subset of the elements below p.  The coverage of
 interest is the canonical join coverage of the locale: a sieve covers p
 exactly when its join is p.  It is read straight off that condition,
-not generated from a basis.  Everything is enumerated explicitly;
-closure is a fixpoint.
+not generated from a basis.  Everything is enumerated explicitly.
+On a finite poset a topology is fixed by one least cover L(p) per
+element; every reader of a coverage but ``validate_topology`` goes
+through ``Topology.least``, and closure is one step.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ class Topology:
     algebra: HeytingAlgebra
     covers: tuple[frozenset[frozenset[int]], ...]
 
-    def covering(self, p: int) -> list[frozenset[int]]:
-        return sorted(self.covers[p], key=lambda s: (len(s), sorted(s)))
+    def least(self, p: int) -> frozenset[int]:
+        """L(p), the smallest cover: covers of p are upward closed and
+        closed under meets, so a sieve S covers p exactly when L(p) <= S."""
+        return frozenset.intersection(*self.covers[p])
 
 
 def validate_topology(J: Topology) -> ValidationReport:
@@ -78,14 +82,15 @@ def validate_topology(J: Topology) -> ValidationReport:
     H = J.algebra
     bad: list[tuple[str, tuple]] = []
     for p in H.elements():
+        covering = sorted(J.covers[p], key=lambda s: (len(s), sorted(s)))
         if frozenset(H.down(p)) not in J.covers[p]:
             bad.append(("maximality", (H.name(p),)))
-        for S in J.covering(p):
+        for S in covering:
             for r in H.down(p):
                 pulled = frozenset(m for m in S if H.le(m, r))
                 if pulled not in J.covers[r]:
                     bad.append(("stability", (H.name(p), H.name(r))))
-        for S in J.covering(p):
+        for S in covering:
             for R in all_sieves(H, p):
                 if R in J.covers[p]:
                     continue
@@ -112,27 +117,16 @@ def territory_topology(H: HeytingAlgebra) -> Topology:
 
 def is_closed(s: Sieve, J: Topology) -> bool:
     """A sieve is closed when every element it covers is already a member."""
-    H = s.algebra
-    for r in H.down(s.at):
-        pulled = frozenset(m for m in s.members if H.le(m, r))
-        if pulled in J.covers[r] and r not in s.members:
-            return False
-    return True
+    return all(r in s.members or not J.least(r) <= s.members
+               for r in s.algebra.down(s.at))
 
 
 def closure(s: Sieve, J: Topology) -> Sieve:
-    """Fixpoint of the one-step rule: adjoin every element the sieve covers."""
-    H = s.algebra
-    members = set(s.members)
-    while True:
-        grown = set(members)
-        for r in H.down(s.at):
-            pulled = frozenset(m for m in members if H.le(m, r))
-            if pulled in J.covers[r]:
-                grown.add(r)
-        if grown == members:
-            return Sieve(H, s.at, frozenset(members))
-        members = grown
+    """Adjoin every element the sieve covers, {r <= p : L(r) <= S}.  This
+    is idempotent: if the result contains L(r), S covers each q in L(r),
+    so by transitivity S covers r."""
+    return Sieve(s.algebra, s.at, frozenset(
+        r for r in s.algebra.down(s.at) if J.least(r) <= s.members))
 
 
 def closed_sieves(H: HeytingAlgebra, J: Topology, p: int) -> list[frozenset[int]]:

@@ -275,6 +275,37 @@ def test_validate_relation_file(tmp_path, capsys):
     assert "validate-relation" in capsys.readouterr().out
 
 
+_ASYMMETRIC = {"algebra": "chain3.json", "elements": ["x", "y"],
+               "id": [["M", "p"], ["mu", "M"]]}
+
+
+def test_validate_relation_checks_its_tsets(files, capsys):
+    # validate_relation alone accepts the identity on a non-T-set
+    path = files["dir"] / "rel.json"
+    path.write_text(json.dumps({"source": _ASYMMETRIC, "target": _ASYMMETRIC,
+                                "map": {"x": "x", "y": "y"}}))
+    assert run_command(["validate", str(path), "--format", "json"]) == 1
+    [row] = json.loads(capsys.readouterr().out)["results"]
+    assert row["check"] == "validate-relation" and row["status"] == "fail"
+    assert row["witness"] == "('source', ('symmetry', ('x', 'y')))"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"source": {**_ASYMMETRIC, "id": [["M", "mu"], ["mu", "M"]]},
+      "target": {**_ASYMMETRIC, "id": [["M", "mu"], ["mu", "M"]]},
+      "map": {"x": "x", "y": "y", "z": "x"}},
+     "relation map names unknown elements ['z']"),
+    ({"algebra": _CHAIN, "sections": _SECTIONS,
+      "restrict": {**_RESTRICT, "c>b": {"x": "x", "y": "y", "w": "x"}}},
+     "restrict c>b names unknown sections ['w']"),
+], ids=["relation-map", "presheaf-restrict"])
+def test_unknown_key_exits_2(files, capsys, doc, message):
+    path = files["dir"] / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run_command(["validate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_python_dash_m_entry_point():
     # stderr stays empty: no RuntimeWarning about a submodule that the
     # package had already imported

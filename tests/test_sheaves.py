@@ -1,10 +1,16 @@
 """Presheaves over the algebra site, sheaf condition, sheafification."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given
 
 from tsettopos import (
     NotASheaf,
+    Sieve,
+    algebra_pool,
+    amalgamate,
     chain3,
     doubled_point_presheaf,
     diamond,
@@ -15,14 +21,18 @@ from tsettopos import (
     is_sheaf,
     make_presheaf,
     make_tset,
+    matching_families,
     presheaf_to_tset,
     quasi_presheaf,
     representable,
     set_like_tset,
+    sheaf_pool,
     sheafify,
     singleton_completion,
+    structure_to_dict,
     terminal_presheaf,
     territory_topology,
+    tset_pool,
     tset_to_presheaf,
     two_element,
     validate_nat,
@@ -216,3 +226,64 @@ def test_no_iso_between_different_shapes():
     P = representable(H, H.index("p"))
     assert find_presheaf_iso(P, one) is None
     assert find_presheaf_iso(one, P) is None
+
+
+def _covering(J, p):
+    return sorted(J.covers[p], key=lambda s: (len(s), sorted(s)))
+
+
+def _all_covers_separated(P, J):
+    H = P.algebra
+    for p in H.elements():
+        for S in _covering(J, p):
+            for x in range(P.n(p)):
+                for y in range(x + 1, P.n(p)):
+                    if all(P.restrict(p, q, x) == P.restrict(p, q, y) for q in S):
+                        return (False, (H.name(p), tuple(sorted(S)),
+                                        P.section_name(p, x), P.section_name(p, y)))
+    return (True, None)
+
+
+def _all_covers_sheaf(P, J):
+    H = P.algebra
+    for p in H.elements():
+        for S in _covering(J, p):
+            for m in matching_families(P, Sieve(H, p, S)):
+                n = len(amalgamate(P, m))
+                if n != 1:
+                    return (False, (H.name(p), tuple(sorted(S)), m.choice, n))
+    return (True, None)
+
+
+def test_least_cover_verdicts_match_all_covers_reference():
+    # every presheaf with at most 3 sections and every quasi presheaf of
+    # a carrier of at most 2, over algebras of at most 5 elements
+    verdicts = []
+    for lbl, H in algebra_pool(5) + [("diamond", diamond())]:
+        J = territory_topology(H)
+        pool = sheaf_pool(H, J, 3, require_sheaf=False) + [
+            quasi_presheaf(t) for t in tset_pool(
+                H, 2, require_separated=False, require_postulate=False,
+                include_empty=True)]
+        if lbl == "diamond":
+            pool.append(doubled_point_presheaf(H))
+        for P in pool:
+            sheaf, sep = is_sheaf(P, J), is_separated(P, J)
+            assert (sheaf.ok, sheaf.witness) == _all_covers_sheaf(P, J), P
+            assert (sep.ok, sep.witness) == _all_covers_separated(P, J), P
+            verdicts.append((sheaf.ok, sep.ok))
+    # both conditions bite: 67 are not sheaves, 28 not even separated
+    assert len(verdicts) == 280
+    assert [sum(not v[i] for v in verdicts) for i in (0, 1)] == [67, 28]
+
+
+def test_sheafify_frozen_on_files_presheaves():
+    # the presheaves of the files benchmark; digest taken from the
+    # plus construction that labelled agreement classes over all covers
+    digest = hashlib.sha256()
+    for _, H in algebra_pool(4) + [("diamond", diamond())]:
+        J = territory_topology(H)
+        for P in sheaf_pool(H, J, 3, require_sheaf=False):
+            digest.update(json.dumps(structure_to_dict(sheafify(P, J))).encode())
+    assert digest.hexdigest() == (
+        "44e7e3d1cbbc1675752776ebdfa4efadbeae13cc47c4ca34dcff6437f3d1db2d")

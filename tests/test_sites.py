@@ -107,6 +107,42 @@ def test_territory_matches_its_basis_on_pool():
         assert J.covers == tuple(_basis_covers(H, p) for p in H.elements())
 
 
+POOL = algebra_pool(6) + [("diamond", diamond())]
+
+
+def test_least_cover_lies_in_every_cover():
+    for _, H in POOL:
+        J = territory_topology(H)
+        for p in H.elements():
+            L = J.least(p)
+            assert L in J.covers[p]
+            assert all(L <= S for S in J.covers[p])
+            for S in all_sieves(H, p):
+                assert (S in J.covers[p]) == (L <= S)
+
+
+def _fixpoint_closure(s, J):
+    """Adjoin every r whose pulled-back sieve covers it, until stable."""
+    H, members = s.algebra, set(s.members)
+    while True:
+        grown = members | {r for r in H.down(s.at) if frozenset(
+            m for m in members if H.le(m, r)) in J.covers[r]}
+        if grown == members:
+            return frozenset(members)
+        members = grown
+
+
+def test_closure_matches_fixpoint_reference():
+    for _, H in POOL:
+        J = territory_topology(H)
+        for p in H.elements():
+            for fs in all_sieves(H, p):
+                s = Sieve(H, p, fs)
+                want = _fixpoint_closure(s, J)
+                assert closure(s, J).members == want
+                assert is_closed(s, J) == (want == fs)
+
+
 def test_empty_sieve_covers_bottom():
     H = chain3()
     J = territory_topology(H)
