@@ -1,12 +1,17 @@
 """Category structure on T-sets and their sheaves.
 
 Finite limits, exponentials, and the subobject classifier, each paired
-with a brute-force universal-property verifier: existence plus
-uniqueness of the mediating arrow, by enumeration.  Also the published
-refutation machinery: the commutativity-only mediation count on a
-triple product, against the unique mediation into a graph, and the
-probe-separation check tying the reality of atoms to arrows out of
-subterminals.
+with a universal-property verifier: existence plus uniqueness of the
+mediating arrow.  On T-sets the mediators are enumerated from listed
+cone vertices.  On presheaves universality is decided against the
+representables y(p) = down(p), and so against every presheaf: limits
+are computed sectionwise and hom(y(p), F) = F(p) (Yoneda), so the limit
+verifiers compare sections level by level, and the exponential is
+stated through ev, so that its verifiers never trust `transpose`.  Also
+the published refutation machinery: the commutativity-only mediation
+count on a triple product, against the unique mediation into a graph,
+and the probe-separation check tying the reality of atoms to arrows out
+of subterminals.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .sheaves import (
     naturality_witness,
     product_presheaf,
     pullback_presheaf,
+    representable,
     terminal_presheaf,
     validate_nat,
 )
@@ -222,20 +228,19 @@ def check_product_universal(prod: PullbackResult, cones: list[TSet],
 # ----------------------------------------------- presheaf-level structure
 
 class Memo:
-    """Hom-sets, products and transposes, each computed once per value.
+    """Hom-sets and products, each computed once per value.
 
-    The presheaf verifiers take one as an optional last argument;
-    without it each makes its own, so nothing is shared between calls.
-    `check_topos_axioms` makes one per call, which its verifiers share
-    and which is dropped when it returns.  Presheaves are frozen values,
-    so equal presheaves built apart (pullbacks of different spans, say)
-    share one entry.  Misses go through the module-level
-    `hom_presheaf`, `product_presheaf` and `transpose`."""
+    The presheaf verifiers that enumerate arrows take one as an optional
+    last argument; without it each makes its own, so nothing is shared
+    between calls.  `check_topos_axioms` makes one per call, which its
+    verifiers share and which is dropped when it returns.  Presheaves
+    are frozen values, so equal presheaves built apart share one entry.
+    Misses go through the module-level `hom_presheaf` and
+    `product_presheaf`."""
 
     def __init__(self):
         self._homs: dict = {}
         self._products: dict = {}
-        self._transposes: dict = {}
 
     def hom(self, P: Presheaf, Q: Presheaf, guard: int) -> list[NatTransform]:
         key = (P, Q, guard)
@@ -249,68 +254,57 @@ class Memo:
             self._products[key] = product_presheaf(P, Q)
         return self._products[key]
 
-    def transposes(self, E: ExponentialResult, Z: Presheaf,
-                   guard: int) -> list[NatTransform]:
-        """transpose(E, Z, k) for each k in hom(Z x X, Y), in that order."""
-        key = (E, Z, guard)
-        if key not in self._transposes:
-            ks = self.hom(self.product(Z, E.base), E.power, guard)
-            self._transposes[key] = [transpose(E, Z, k) for k in ks]
-        return self._transposes[key]
-
 
 def pullback_universal_presheaf(pb: PresheafPullback, f: NatTransform,
-                                g: NatTransform, pool: list[Presheaf],
-                                guard: int = DEFAULT_GUARD,
-                                memo: Memo | None = None) -> tuple[bool, tuple | None]:
-    """Every commuting cone (u, v) from every pool member mediates
-    through the pullback by exactly one arrow, and that arrow is the
-    pairing z -> (u z, v z) of the pullback's section pairs.
+                                g: NatTransform) -> tuple[bool, tuple | None]:
+    """The square pb -> A, B -> C is a pullback of f and g, and its
+    mediators are the pairings z -> (u z, v z) of `pb.pairs`.
 
-    Per vertex, the candidate arrows into the pullback are indexed once
-    by their legs (proj1 . h, proj2 . h), in candidate order, and the
-    arrows into g's source by g . v; each cone then looks up its
-    mediators instead of rescanning the candidates."""
-    memo = memo or Memo()
+    Decided against every representable y(p) = down(p), hence against
+    every presheaf: limits are computed sectionwise, and by Yoneda a
+    cone from y(p) is a section pair (u, v) in A(p) x B(p) with
+    f u = g v, while an arrow y(p) -> pb is a section of pb at p.  So
+    once the legs are natural arrows into f's and g's sources with
+    f . proj1 = g . proj2, the legs must biject pb(p) onto the commuting
+    pairs at each p, each section being its pair's index in pb.pairs[p].
+
+    Witnesses: ("leg-endpoints", k) or ("leg-natural", k, why) for leg
+    k; ("commute", p, s) for a section s whose legs disagree in C;
+    (p, u, v, count) for a commuting pair hit by count != 1 sections;
+    (p, u, v, "mediator") when its one section is not the pairing."""
     H = f.source.algebra
-    index = [{pair: k for k, pair in enumerate(level)} for level in pb.pairs]
-    for W in pool:
-        candidates = memo.hom(W, pb.presheaf, guard)
-        homs_u = memo.hom(W, f.source, guard)
-        homs_v = memo.hom(W, g.source, guard) if homs_u else []
-        by_legs: dict = {}
-        for h in candidates:
-            legs = (pb.proj1.compose(h).components,
-                    pb.proj2.compose(h).components)
-            by_legs.setdefault(legs, []).append(h)
-        by_gv: dict = {}
-        for v in homs_v:
-            by_gv.setdefault(g.compose(v).components, []).append(v)
-        for u in homs_u:
-            for v in by_gv.get(f.compose(u).components, ()):
-                ms = by_legs.get((u.components, v.components), [])
-                if len(ms) != 1:
-                    return False, (repr(W), u.components, v.components, len(ms))
-                pairing = tuple(
-                    tuple(index[p].get(pair) for pair in
-                          zip(u.components[p], v.components[p]))
-                    for p in H.elements()
-                )
-                if ms[0].components != pairing:
-                    return False, (repr(W), u.components, v.components, "mediator")
+    for k, (leg, end) in enumerate(((pb.proj1, f.source),
+                                    (pb.proj2, g.source)), 1):
+        if (leg.source, leg.target) != (pb.presheaf, end):
+            return False, ("leg-endpoints", k)
+        if (why := naturality_witness(leg)) is not None:
+            return False, ("leg-natural", k, why)
+    for p in H.elements():
+        fp, gp = f.components[p], g.components[p]
+        legs = list(zip(pb.proj1.components[p], pb.proj2.components[p]))
+        for s, (u, v) in enumerate(legs):
+            if fp[u] != gp[v]:
+                return False, ("commute", H.name(p), s)
+        index = {pair: s for s, pair in enumerate(pb.pairs[p])}
+        for u, c in enumerate(fp):
+            for v, d in enumerate(gp):
+                if c != d:
+                    continue
+                if (n := legs.count((u, v))) != 1:
+                    return False, (H.name(p), u, v, n)
+                if index.get((u, v)) != legs.index((u, v)):
+                    return False, (H.name(p), u, v, "mediator")
     return True, None
 
 
-def product_universal_presheaf(P: Presheaf, Q: Presheaf, pool: list[Presheaf],
-                               guard: int = DEFAULT_GUARD,
-                               memo: Memo | None = None) -> tuple[bool, tuple | None]:
+def product_universal_presheaf(P: Presheaf,
+                               Q: Presheaf) -> tuple[bool, tuple | None]:
     """P x Q verified as the pullback over the terminal presheaf."""
     H = P.algebra
     one = terminal_presheaf(H)
     to_one = [NatTransform(F, one, tuple((0,) * F.n(p) for p in H.elements()))
               for F in (P, Q)]
-    return pullback_universal_presheaf(pullback_presheaf(*to_one), *to_one,
-                                       pool, guard, memo)
+    return pullback_universal_presheaf(pullback_presheaf(*to_one), *to_one)
 
 
 # ------------------------------------------------------------ exponential
@@ -396,78 +390,61 @@ def transpose(E: ExponentialResult, Z: Presheaf,
 
 def untranspose(E: ExponentialResult, Z: Presheaf, h: NatTransform,
                 memo: Memo | None = None) -> NatTransform:
-    """Uncurrying: h: Z -> Y^X becomes Z x X -> Y."""
-    X, Y = E.base, E.power
-    H = X.algebra
-    ZX = (memo or Memo()).product(Z, X)
-    comps = []
-    for p in H.elements():
-        n = X.n(p)
-        row = []
-        for m in range(ZX.n(p)):
-            z, x = m // n, m % n
-            row.append(E.component_at(p, h.components[p][z], p)[x])
-        comps.append(tuple(row))
-    return NatTransform(ZX, Y, tuple(comps))
+    """Uncurrying: h: Z -> Y^X becomes ev . (h x id): Z x X -> Y, which
+    sends the pair (z, x) over p to the family h(z) evaluated at x."""
+    comps = tuple(
+        tuple(y for k in h.components[p] for y in E.component_at(p, k, p))
+        for p in E.base.algebra.elements()
+    )
+    return NatTransform((memo or Memo()).product(Z, E.base), E.power, comps)
 
 
 def check_adjunction(E: ExponentialResult, Z: Presheaf,
                      guard: int = DEFAULT_GUARD,
                      memo: Memo | None = None) -> tuple[bool, tuple | None]:
-    """Hom(Z x X, Y) and Hom(Z, Y^X) biject via transpose/untranspose."""
+    """(Y^X, ev) is universal from Z: h -> ev . (h x id), which is
+    `untranspose`, maps Hom(Z, Y^X) injectively into Hom(Z x X, Y), and
+    the two hom-sets are equally large, so it is a bijection."""
     memo = memo or Memo()
-    X, Y = E.base, E.power
-    lower = memo.hom(memo.product(Z, X), Y, guard)
+    lower = {k.components
+             for k in memo.hom(memo.product(Z, E.base), E.power, guard)}
     upper = memo.hom(Z, E.presheaf, guard)
     if len(lower) != len(upper):
         return False, ("count", len(lower), len(upper))
-    for k, h in zip(lower, memo.transposes(E, Z, guard)):
-        if not validate_nat(h):
-            return False, ("transpose-nat", k.components)
-        if untranspose(E, Z, h, memo).components != k.components:
-            return False, ("roundtrip-lower", k.components)
+    seen = set()
     for h in upper:
-        k = untranspose(E, Z, h, memo)
-        if not validate_nat(k):
+        k = untranspose(E, Z, h, memo).components
+        if k not in lower:
             return False, ("untranspose-nat", h.components)
-        if transpose(E, Z, k).components != h.components:
-            return False, ("roundtrip-upper", h.components)
+        if k in seen:
+            return False, ("untranspose-injective", h.components)
+        seen.add(k)
     return True, None
-
-
-def cross_nat(r: NatTransform, X: Presheaf,
-              source_prod: Presheaf, target_prod: Presheaf) -> NatTransform:
-    """r x id_X on sectionwise pair presheaves."""
-    H = X.algebra
-    comps = []
-    for p in H.elements():
-        n = X.n(p)
-        row = []
-        for m in range(source_prod.n(p)):
-            z, x = m // n, m % n
-            row.append(r.components[p][z] * n + x)
-        comps.append(tuple(row))
-    return NatTransform(source_prod, target_prod, tuple(comps))
 
 
 def check_adjunction_natural(E: ExponentialResult, Z2: Presheaf, Z: Presheaf,
                              guard: int = DEFAULT_GUARD,
                              memo: Memo | None = None) -> tuple[bool, tuple | None]:
-    """transpose(k . (r x id)) = transpose(k) . r for all r: Z2 -> Z."""
+    """ev . ((h . r) x id) = (ev . (h x id)) . (r x id) for every
+    r: Z2 -> Z and h: Z -> Y^X, composed on component tuples."""
     memo = memo or Memo()
-    X, Y = E.base, E.power
-    ZX = memo.product(Z, X)
-    Z2X = memo.product(Z2, X)
+    H = E.base.algebra
+    width = [E.base.n(p) for p in H.elements()]
     rs = memo.hom(Z2, Z, guard)
-    ks = memo.hom(ZX, Y, guard) if rs else []
-    ts = memo.transposes(E, Z, guard) if rs else []
+    hs = memo.hom(Z, E.presheaf, guard) if rs else []
+    ks = [untranspose(E, Z, h, memo).components for h in hs]
     for r in rs:
-        rx = cross_nat(r, X, Z2X, ZX)
-        for k, t in zip(ks, ts):
-            left = transpose(E, Z2, k.compose(rx))
-            right = t.compose(r)
-            if left.components != right.components:
-                return False, (r.components, k.components)
+        for h, k in zip(hs, ks):
+            hr = tuple(tuple(h.components[p][z] for z in r.components[p])
+                       for p in H.elements())
+            left = untranspose(E, Z2, NatTransform(Z2, E.presheaf, hr), memo)
+            right = tuple(
+                tuple(k[p][z * width[p] + x]
+                      for z in r.components[p] for x in range(width[p]))
+                for p in H.elements()
+            )
+            if left.components != right:
+                return False, (r.components, h.components)
     return True, None
 
 
@@ -648,12 +625,16 @@ class ToposReport:
 def check_topos_axioms(pool: list[Presheaf], J: Topology,
                        guard: int = DEFAULT_GUARD) -> ToposReport:
     """Terminal, products, pullbacks, exponentials, classifier: existence
-    and universality over every instance drawn from the pool.
+    and universality for every instance drawn from the pool.
 
-    Each row is (check, instance, ok, witness); the witness is None on
-    passing rows.  An adjunction row aggregates over every Z in the
-    pool; on failure it stops there and pairs that Z's name with its
-    witness."""
+    Universality is decided against every presheaf, not against pool
+    members: limits are computed sectionwise and hom(y(p), F) = F(p), so
+    it suffices to test against the representables y(p) = down(p).  Each
+    row is (check, instance, ok, witness); the witness is None on passing
+    rows.  An adjunction row aggregates over every y(p) (pairs of them
+    for naturality); on failure it stops there and pairs that y(p)'s
+    name with its witness.  Each distinct presheaf is sheaf-checked
+    once per call."""
     if not pool:
         return ToposReport(True, ())
     H = pool[0].algebra
@@ -662,41 +643,41 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
     def row(check: str, inst: str, ok: bool, witness: object = None):
         rows.append((check, inst, ok, None if ok else witness))
 
+    verdicts: dict = {}
+
     def sheaf_row(check: str, inst: str, P: Presheaf):
-        rep = is_sheaf(P, J)
-        row(check, inst, rep.ok, rep.witness)
+        if P not in verdicts:
+            verdicts[P] = is_sheaf(P, J)
+        row(check, inst, verdicts[P].ok, verdicts[P].witness)
 
-    def name_of(P: Presheaf) -> str:
-        return "F(" + ",".join(str(P.n(p)) for p in H.elements()) + ")"
-
+    named = [(P, "F(" + ",".join(str(P.n(p)) for p in H.elements()) + ")")
+             for P in pool]
     memo = Memo()
     one = terminal_presheaf(H)
     sheaf_row("terminal-sheaf", "1", one)
-    for P in pool:
+    for P, name in named:
         count = len(memo.hom(P, one, guard))
-        row("terminal-unique", name_of(P), count == 1, count)
+        row("terminal-unique", name, count == 1, count)
 
-    for A in pool:
-        for B in pool:
-            inst = f"{name_of(A)}x{name_of(B)}"
+    for A, a in named:
+        for B, b in named:
+            inst = f"{a}x{b}"
             sheaf_row("product-sheaf", inst, memo.product(A, B))
-            row("product-universal", inst,
-                *product_universal_presheaf(A, B, pool, guard, memo=memo))
+            row("product-universal", inst, *product_universal_presheaf(A, B))
 
-    for C in pool:
-        for A in pool:
-            for B in pool:
+    for C, c in named:
+        for A, a in named:
+            for B, b in named:
+                inst = f"{a}->{c}<-{b}"
                 for f in memo.hom(A, C, guard):
                     for g in memo.hom(B, C, guard):
-                        inst = f"{name_of(A)}->{name_of(C)}<-{name_of(B)}"
                         pb = pullback_presheaf(f, g)
                         sheaf_row("pullback-sheaf", inst, pb.presheaf)
                         row("pullback-universal", inst,
-                            *pullback_universal_presheaf(pb, f, g, pool, guard,
-                                                         memo=memo))
+                            *pullback_universal_presheaf(pb, f, g))
 
     def first_failure(results) -> tuple[bool, object]:
-        # (where, (ok, witness)) pairs; the first failure names its Z
+        # (where, (ok, witness)) pairs; the first failure names its y(p)
         for where, (ok, witness) in results:
             if not ok:
                 return False, (where, witness)
@@ -706,26 +687,26 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
         witness = naturality_witness(nt)
         row(check, inst, witness is None, witness)
 
-    for X in pool:
-        for Y in pool:
-            inst = f"{name_of(Y)}^{name_of(X)}"
+    ys = [(representable(H, p), f"y({H.name(p)})") for p in H.elements()]
+    for X, x in named:
+        for Y, y in named:
+            inst = f"{y}^{x}"
             E = exponential(X, Y, guard)
             sheaf_row("exponential-sheaf", inst, E.presheaf)
             nat_row("evaluation-natural", inst, evaluation(E))
             row("adjunction-bijection", inst, *first_failure(
-                (name_of(Z), check_adjunction(E, Z, guard, memo=memo))
-                for Z in pool))
+                (z, check_adjunction(E, Z, guard, memo=memo))
+                for Z, z in ys))
             row("adjunction-natural", inst, *first_failure(
-                (f"{name_of(Z2)}->{name_of(Z)}",
+                (f"{z2}->{z}",
                  check_adjunction_natural(E, Z2, Z, guard, memo=memo))
-                for Z in pool for Z2 in pool))
+                for Z, z in ys for Z2, z2 in ys))
 
     om = omega(H, J)
     sheaf_row("omega-sheaf", "Omega", om.presheaf)
     nat_row("truth-natural", "true", om.truth)
-    for A in pool:
-        row("classifier-unique", name_of(A),
-            *check_classifier(A, J, om, guard))
+    for A, a in named:
+        row("classifier-unique", a, *check_classifier(A, J, om, guard))
 
     return ToposReport(all(r[2] for r in rows), tuple(rows))
 

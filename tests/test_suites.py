@@ -10,9 +10,11 @@ import pytest
 
 from tsettopos import (
     SuiteConfig,
+    chain3,
     generate_instance_pool,
     report_json,
     report_text,
+    representable,
     run_suite,
 )
 from tsettopos import suites
@@ -81,6 +83,15 @@ def test_default_text_report_bytes_frozen():
         "ed63071ebfb41e19a219de92bb27683adcfe930cd560337a00db7696d323147f")
 
 
+def test_topos_axioms_ladder_cell_report_frozen():
+    # the 4/4 topos-axioms rung, as the pool-quantified verifiers wrote it
+    rep = run_suite(SuiteConfig(max_algebra_size=4, max_carrier_size=4,
+                                checks=("topos-axioms",)))
+    assert len(rep.results) == 5103
+    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+        "75492ee0c04b2e55a3f30bd6ba3b2840ff0dd814d241d9b5b263dce4cd52b4f6")
+
+
 def test_traced_layer_names_resolve():
     # the benchmark's --trace 1 wraps these names in their home modules
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -108,18 +119,16 @@ def test_topos_axiom_failures_carry_witnesses(monkeypatch):
 
     cfg = SuiteConfig(max_algebra_size=2, max_carrier_size=2,
                       checks=("topos-axioms",))
-    sheaves = [P for _, P in generate_instance_pool(cfg).sheaves]
-    assert len(sheaves) >= 2
+    H = chain3()
     planted = ("planted", 7)
     monkeypatch.setattr(topos, "check_classifier",
                         lambda *args: (False, planted))
-    # every adjunction row first fails at its second Z
+    # every adjunction row first fails at its second representable y(p)
     monkeypatch.setattr(
         topos, "check_adjunction",
-        lambda E, Z, guard, **kw: (True, None) if Z == sheaves[0]
-        else (False, planted))
-    second = "F(" + ",".join(
-        str(sheaves[1].n(p)) for p in sheaves[1].algebra.elements()) + ")"
+        lambda E, Z, guard, **kw: (True, None)
+        if Z == representable(H, 0) else (False, planted))
+    second = f"y({H.name(1)})"
     rows = {}
     for r in run_suite(cfg).results:
         rows.setdefault(r.instance.split(":")[0], []).append(r)

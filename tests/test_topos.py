@@ -44,6 +44,7 @@ from tsettopos import (
     principal_tset,
     product_presheaf,
     pullback,
+    representable,
     set_like_tset,
     sg_check,
     sg_failure_exhibit,
@@ -159,8 +160,8 @@ def test_swapped_presheaf_projections_are_not_the_pairing():
     P = tset_to_presheaf(set_like_tset(H, 2))
     f = hom_presheaf(P, terminal_presheaf(H))[0]
     pb = pullback_presheaf(f, f)
-    assert pullback_universal_presheaf(pb, f, f, [P]) == (True, None)
-    ok, witness = pullback_universal_presheaf(_swapped(pb), f, f, [P])
+    assert pullback_universal_presheaf(pb, f, f) == (True, None)
+    ok, witness = pullback_universal_presheaf(_swapped(pb), f, f)
     assert not ok and witness[-1] == "mediator"
 
 
@@ -175,7 +176,7 @@ def test_product_verdicts_agree_across_levels(H):
     for A, PA in zip(pool, presheaves):
         for B, PB in zip(pool, presheaves):
             tset_verdict = check_product_universal(product(A, B), pool)
-            presheaf_verdict = product_universal_presheaf(PA, PB, presheaves)
+            presheaf_verdict = product_universal_presheaf(PA, PB)
             assert tset_verdict[0] == presheaf_verdict[0]
 
 
@@ -193,7 +194,7 @@ def test_pullback_verdicts_agree_across_levels(H):
                     for f in hom_set(A, C) for g in hom_set(B, C))
                 presheaf_verdict = all(
                     pullback_universal_presheaf(
-                        pullback_presheaf(f, g), f, g, presheaves)[0]
+                        pullback_presheaf(f, g), f, g)[0]
                     for f in hom_presheaf(PA, PC)
                     for g in hom_presheaf(PB, PC))
                 assert tset_verdict == presheaf_verdict
@@ -535,7 +536,10 @@ def test_products_and_pullbacks_match_sectionwise_reference(H, pool):
 
 
 def _scan_pullback_universal(pb, f, g, pool):
-    """Reference verifier: every cone rescans every candidate arrow."""
+    """Reference verifier quantified over pool members W: every cone
+    (u, v) from W rescans every candidate arrow W -> pb.  It compares
+    leg components only, so it cannot tell which cospan the legs lie
+    over."""
     H = f.source.algebra
     index = [{pair: k for k, pair in enumerate(level)} for level in pb.pairs]
     for W in pool:
@@ -563,19 +567,58 @@ def _scan_pullback_universal(pb, f, g, pool):
     return True, None
 
 
-@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
-                         ids=[c[0] for c in TERRITORY_POOLS])
-def test_leg_index_matches_candidate_scan(H, pool):
+def _to_one(F):
+    H = F.algebra
+    return NatTransform(F, terminal_presheaf(H),
+                        tuple((0,) * F.n(p) for p in H.elements()))
+
+
+def _cospans(pool):
     for C in pool:
         for A in pool:
             for B in pool:
                 for f in hom_presheaf(A, C):
                     for g in hom_presheaf(B, C):
-                        pb = pullback_presheaf(f, g)
-                        for planted in (pb, _swapped(pb)):
-                            assert pullback_universal_presheaf(
-                                planted, f, g, pool) == \
-                                _scan_pullback_universal(planted, f, g, pool)
+                        yield A, B, f, g
+
+
+@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
+                         ids=[c[0] for c in TERRITORY_POOLS])
+def test_leg_index_matches_candidate_scan(H, pool):
+    # the y(p) verifiers and the pool reference agree on every product
+    # and pullback, and on every swapped square over a cospan with A = B
+    for P in pool:
+        for Q in pool:
+            f, g = _to_one(P), _to_one(Q)
+            assert product_universal_presheaf(P, Q) == \
+                _scan_pullback_universal(pullback_presheaf(f, g), f, g, pool) \
+                == (True, None)
+    for A, B, f, g in _cospans(pool):
+        pb = pullback_presheaf(f, g)
+        assert pullback_universal_presheaf(pb, f, g) == \
+            _scan_pullback_universal(pb, f, g, pool) == (True, None)
+        if A == B:
+            got = pullback_universal_presheaf(_swapped(pb), f, g)
+            ref = _scan_pullback_universal(_swapped(pb), f, g, pool)
+            assert got[0] == ref[0]
+            assert got[0] or got[1][0] == "commute" or \
+                got[1][-1] == "mediator"
+
+
+def test_pullback_verifier_checks_the_cospan():
+    # swapped legs over a cospan with A != B lie over B -> C <- A; the
+    # pool reference compares leg components only and passes most of them
+    cospans = missed = 0
+    for _, _, pool in TERRITORY_POOLS:
+        for A, B, f, g in _cospans(pool):
+            if A == B:
+                continue
+            swapped = _swapped(pullback_presheaf(f, g))
+            assert pullback_universal_presheaf(swapped, f, g) == \
+                (False, ("leg-endpoints", 1))
+            cospans += 1
+            missed += _scan_pullback_universal(swapped, f, g, pool)[0]
+    assert (cospans, missed) == (114, 80)
 
 
 def _planted_over_one(sections, restrict, pairs):
@@ -591,6 +634,7 @@ def _planted_over_one(sections, restrict, pairs):
 
 def test_leg_index_on_planted_pullbacks():
     H = two_element()
+    top = H.name(H.top)
     # two top sections over the same pair: the identity cone has 2 mediators
     twice, one = _planted_over_one(
         (("a",), ("b", "c")), {(1, 0): (0, 0)},
@@ -601,16 +645,152 @@ def test_leg_index_on_planted_pullbacks():
     f = hom_presheaf(one, one)[0]
     ident = f.components
     for planted, count in ((twice, 2), (missing, 0)):
-        assert pullback_universal_presheaf(planted, f, f, [one]) == \
-            _scan_pullback_universal(planted, f, f, [one]) == \
+        assert _scan_pullback_universal(planted, f, f, [one]) == \
             (False, (repr(one), ident, ident, count))
+        assert pullback_universal_presheaf(planted, f, f) == \
+            (False, (top, 0, 0, count))
     # swapped projections: one mediator, but not the pairing
     P = tset_to_presheaf(set_like_tset(H, 2))
     g = hom_presheaf(P, terminal_presheaf(H))[0]
     swapped = _swapped(pullback_presheaf(g, g))
-    got = pullback_universal_presheaf(swapped, g, g, [P])
-    assert got == _scan_pullback_universal(swapped, g, g, [P])
-    assert not got[0] and got[1][-1] == "mediator"
+    ref = _scan_pullback_universal(swapped, g, g, [P])
+    assert not ref[0] and ref[1][-1] == "mediator"
+    assert pullback_universal_presheaf(swapped, g, g) == \
+        (False, (top, 0, 1, "mediator"))
+    # a first leg that breaks naturality: the (bottom-level) section pairs
+    # are fixed, but the top sections are sent to the wrong factor section
+    F = make_presheaf(H, (("x", "y"), ("x", "y")), {(1, 0): (0, 1)})
+    g = _to_one(F)
+    pb = pullback_presheaf(g, g)
+    bent = dataclasses.replace(pb.proj1, components=(
+        pb.proj1.components[0], tuple(1 - i for i in pb.proj1.components[1])))
+    got = pullback_universal_presheaf(
+        dataclasses.replace(pb, proj1=bent), g, g)
+    assert got == (False, ("leg-natural", 1, (top, H.name(0), 0)))
+
+
+@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
+                         ids=[c[0] for c in TERRITORY_POOLS])
+def test_yoneda_arrows_from_representables_are_sections(H, pool):
+    for F in pool:
+        for p in H.elements():
+            homs = hom_presheaf(representable(H, p), F)
+            assert len(homs) == F.n(p)
+            assert sorted(h.components[p][0] for h in homs) == \
+                list(range(F.n(p)))
+
+
+def _transpose_adjunction(E, Z):
+    """Reference: Hom(Z x X, Y) and Hom(Z, Y^X) biject via transpose and
+    untranspose, every arrow checked natural and round-tripped."""
+    ZX = product_presheaf(Z, E.base)
+    lower = hom_presheaf(ZX, E.power)
+    upper = hom_presheaf(Z, E.presheaf)
+    if len(lower) != len(upper):
+        return False, ("count", len(lower), len(upper))
+    for k in lower:
+        h = topos.transpose(E, Z, k)
+        if not validate_nat(h):
+            return False, ("transpose-nat", k.components)
+        if topos.untranspose(E, Z, h).components != k.components:
+            return False, ("roundtrip-lower", k.components)
+    for h in upper:
+        k = topos.untranspose(E, Z, h)
+        if not validate_nat(k):
+            return False, ("untranspose-nat", h.components)
+        if topos.transpose(E, Z, k).components != h.components:
+            return False, ("roundtrip-upper", h.components)
+    return True, None
+
+
+def _cross_nat(r, X, source_prod, target_prod):
+    """r x id_X on sectionwise pair presheaves."""
+    H = X.algebra
+    comps = tuple(
+        tuple(r.components[p][m // X.n(p)] * X.n(p) + m % X.n(p)
+              for m in range(source_prod.n(p)))
+        for p in H.elements()
+    )
+    return NatTransform(source_prod, target_prod, comps)
+
+
+def _transpose_adjunction_natural(E, Z2, Z):
+    """Reference: transpose(k . (r x id)) = transpose(k) . r for every
+    r: Z2 -> Z and k: Z x X -> Y."""
+    ZX = product_presheaf(Z, E.base)
+    Z2X = product_presheaf(Z2, E.base)
+    for r in hom_presheaf(Z2, Z):
+        rx = _cross_nat(r, E.base, Z2X, ZX)
+        for k in hom_presheaf(ZX, E.power):
+            left = topos.transpose(E, Z2, k.compose(rx))
+            right = topos.transpose(E, Z, k).compose(r)
+            if left.components != right.components:
+                return False, (r.components, k.components)
+    return True, None
+
+
+@pytest.mark.parametrize("H,pool", [c[1:] for c in TERRITORY_POOLS],
+                         ids=[c[0] for c in TERRITORY_POOLS])
+def test_adjunction_matches_transpose_reference(H, pool):
+    ys = [representable(H, p) for p in H.elements()]
+    for X in pool:
+        for Y in pool:
+            E = exponential(X, Y)
+            for Z in pool + ys:
+                assert check_adjunction(E, Z) == \
+                    _transpose_adjunction(E, Z) == (True, None)
+                for Z2 in pool + ys:
+                    assert topos.check_adjunction_natural(E, Z2, Z) == \
+                        _transpose_adjunction_natural(E, Z2, Z) == (True, None)
+
+
+def test_adjunction_rejects_non_natural_uncurrying(monkeypatch):
+    # Y has two global sections, told apart at the bottom; an uncurrying
+    # that swaps the values at the top is injective but not natural
+    H = two_element()
+    one = terminal_presheaf(H)
+    Y = make_presheaf(H, (("x", "y"), ("x", "y")), {(1, 0): (0, 1)})
+    E = exponential(one, Y)
+    real = topos.untranspose
+
+    def swaps_top(E, Z, h, memo=None):
+        k = real(E, Z, h, memo)
+        comps = k.components[:-1] + (tuple(1 - v for v in k.components[-1]),)
+        return dataclasses.replace(k, components=comps)
+
+    monkeypatch.setattr(topos, "untranspose", swaps_top)
+    first = hom_presheaf(one, E.presheaf)[0].components
+    assert check_adjunction(E, one) == (False, ("untranspose-nat", first))
+    assert not _transpose_adjunction(E, one)[0]
+
+
+def test_z_mutant_passes_every_representable(monkeypatch):
+    # y(p) has at most one section per level, so an uncurrying that reads
+    # every z as 0 passes every check against the representables; the
+    # reference over pool members with two sections at a level catches
+    # it, and so does check_adjunction given those members as Z
+    real = topos.untranspose
+
+    def reads_z_as_0(E, Z, h, memo=None):
+        comps = tuple(c[:1] * len(c) for c in h.components)
+        return real(E, Z, dataclasses.replace(h, components=comps), memo)
+
+    monkeypatch.setattr(topos, "untranspose", reads_z_as_0)
+    for _, H, pool in TERRITORY_POOLS:
+        ys = [representable(H, p) for p in H.elements()]
+        caught = seen = 0
+        for X in pool:
+            for Y in pool:
+                E = exponential(X, Y)
+                for Z in ys:
+                    assert check_adjunction(E, Z) == (True, None)
+                    for Z2 in ys:
+                        assert topos.check_adjunction_natural(
+                            E, Z2, Z) == (True, None)
+                caught += sum(not _transpose_adjunction(E, Z)[0]
+                              for Z in pool)
+                seen += sum(not check_adjunction(E, Z)[0] for Z in pool)
+        assert caught > 0 and seen > 0
 
 
 def _topos_bench_pool(H, max_total, max_per_level):
