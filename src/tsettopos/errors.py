@@ -88,14 +88,6 @@ class NotASheaf(WorkbenchError):
         super().__init__(f"sheaf condition fails: {witness!r}")
 
 
-class NotSubobject(WorkbenchError):
-    """Claimed inclusion is not an injective restriction-respecting map."""
-
-    def __init__(self, detail):
-        self.detail = detail
-        super().__init__(f"not a subobject inclusion: {detail}")
-
-
 class SchemaError(WorkbenchError):
     """A structure file does not match any accepted JSON shape."""
 

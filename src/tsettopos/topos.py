@@ -17,9 +17,9 @@ of subterminals.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import NotSubobject, SizeGuard
+from .errors import SizeGuard
 from .heyting import HeytingAlgebra, two_element
 from .sheaves import (
     NatTransform,
@@ -34,7 +34,6 @@ from .sheaves import (
     pullback_presheaf,
     representable,
     terminal_presheaf,
-    validate_nat,
 )
 from .sites import Topology, closed_sieves
 from .tset import (
@@ -317,8 +316,6 @@ class ExponentialResult:
     # families[p][k] is the k-th section over p as an actual family of
     # maps: one component tuple per q in H.down(p), in that order.
     families: tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]
-    # index[p] maps each family over p back to its section index k
-    index: tuple[dict, ...] = field(compare=False, repr=False)
 
     def component_at(self, p: int, k: int, q: int) -> tuple[int, ...]:
         return self.families[p][k][self.base.algebra.down(p).index(q)]
@@ -356,7 +353,7 @@ def exponential(X: Presheaf, Y: Presheaf,
             index[q][tuple(fam[k] for k in keep)] for fam in families[p]
         )
     E = make_presheaf(H, sections, restrict)
-    return ExponentialResult(E, X, Y, families, index)
+    return ExponentialResult(E, X, Y, families)
 
 
 def evaluation(E: ExponentialResult) -> NatTransform:
@@ -374,6 +371,7 @@ def transpose(E: ExponentialResult, Z: Presheaf,
     H = X.algebra
     comps = []
     for p in H.elements():
+        index = {fam: k for k, fam in enumerate(E.families[p])}
         row = []
         for z in range(Z.n(p)):
             fam = tuple(
@@ -383,7 +381,7 @@ def transpose(E: ExponentialResult, Z: Presheaf,
                 )
                 for q in H.down(p)
             )
-            row.append(E.index[p][fam])
+            row.append(index[fam])
         comps.append(tuple(row))
     return NatTransform(Z, E.presheaf, tuple(comps))
 
@@ -456,9 +454,6 @@ class OmegaResult:
     truth: NatTransform
     sieves: tuple[tuple[frozenset[int], ...], ...]
 
-    def sieve_index(self, p: int, members: frozenset[int]) -> int:
-        return self.sieves[p].index(members)
-
 
 def omega(H: HeytingAlgebra, J: Topology) -> OmegaResult:
     """Sections over p are the closed sieves at p; restriction is sieve
@@ -485,132 +480,68 @@ def omega(H: HeytingAlgebra, J: Topology) -> OmegaResult:
     return OmegaResult(om, NatTransform(one, om, truth_comps), sieves)
 
 
-@dataclass(frozen=True)
-class SubobjectInclusion:
-    sub: Presheaf
-    parent: Presheaf
-    inclusion: NatTransform
-    mask: tuple[tuple[int, ...], ...]
-    # mask[p] lists the parent section indices belonging to the subobject
+def subobjects(parent: Presheaf, J: Topology,
+               guard: int = DEFAULT_GUARD) -> list[tuple[tuple[int, ...], ...]]:
+    """The subsheaves of `parent`, as masks in mask-lexicographic order.
 
-
-def subobject_from_mask(parent: Presheaf,
-                        mask: tuple[tuple[int, ...], ...]) -> SubobjectInclusion:
-    """Build the sub-presheaf on the masked sections; the mask must be
-    closed under restriction."""
+    mask[p] lists, ascending, the parent sections over p that lie in the
+    subsheaf.  Each mask closed under restriction is built as a
+    sub-presheaf and kept when `is_sheaf` accepts it.  The walk covers
+    all 2**(total sections) masks; past the guard it raises SizeGuard."""
     H = parent.algebra
-    pos: list[dict[int, int]] = []
-    for p in H.elements():
-        seen = {}
-        for k, i in enumerate(mask[p]):
-            if not 0 <= i < parent.n(p) or i in seen:
-                raise NotSubobject(f"bad mask at {H.name(p)!r}")
-            seen[i] = k
-        pos.append(seen)
-    for p in H.elements():
-        for q in H.down(p):
-            for i in mask[p]:
-                if parent.restrict(p, q, i) not in pos[q]:
-                    raise NotSubobject(
-                        f"mask not closed under restriction at {H.name(p)!r}"
-                    )
-    sections = tuple(
-        tuple(parent.section_name(p, i) for i in mask[p])
-        for p in H.elements()
-    )
-    restrict = {
-        (p, q): tuple(pos[q][parent.restrict(p, q, i)] for i in mask[p])
-        for q, p in H.covers()
-    }
-    sub = make_presheaf(H, sections, restrict)
-    inc = NatTransform(
-        sub, parent, tuple(tuple(mask[p]) for p in H.elements())
-    )
-    return SubobjectInclusion(sub, parent, inc, tuple(tuple(m) for m in mask))
-
-
-def subobjects(parent: Presheaf, J: Topology | None = None,
-               require_sheaf: bool = True) -> list[SubobjectInclusion]:
-    """All restriction-closed section masks, optionally filtered to
-    subsheaves; canonical (mask-lexicographic) order."""
-    H = parent.algebra
-    per_level = [
-        [tuple(sorted(c))
-         for r in range(parent.n(p) + 1)
-         for c in itertools.combinations(range(parent.n(p)), r)]
-        for p in H.elements()
-    ]
+    size = 2 ** parent.total_sections()
+    if size > guard:
+        raise SizeGuard("subobject enumeration", size, guard)
+    per_level = [[c for r in range(parent.n(p) + 1)
+                  for c in itertools.combinations(range(parent.n(p)), r)]
+                 for p in H.elements()]
     out = []
     for mask in itertools.product(*per_level):
-        ok = all(
-            parent.restrict(p, q, i) in mask[q]
-            for p in H.elements()
-            for q in H.down(p)
-            for i in mask[p]
-        )
-        if not ok:
+        pos = [{i: k for k, i in enumerate(m)} for m in mask]
+        if not all(parent.restrict(p, q, i) in pos[q]
+                   for p in H.elements() for q in H.down(p) for i in mask[p]):
             continue
-        inc = subobject_from_mask(parent, mask)
-        if require_sheaf and J is not None and not is_sheaf(inc.sub, J).ok:
-            continue
-        out.append(inc)
-    out.sort(key=lambda s: s.mask)
+        sub = make_presheaf(H, [[parent.section_name(p, i) for i in m]
+                                for p, m in enumerate(mask)],
+                            {(p, q): [pos[q][parent.restrict(p, q, i)]
+                                      for i in mask[p]]
+                             for q, p in H.covers()})
+        if is_sheaf(sub, J).ok:
+            out.append(mask)
+    out.sort()
     return out
-
-
-def classify(inc: SubobjectInclusion, om: OmegaResult) -> NatTransform:
-    """The arrow to the classifier sending a section to the sieve of
-    levels where its restriction lands in the subobject."""
-    parent = inc.parent
-    H = parent.algebra
-    comps = []
-    for p in H.elements():
-        row = []
-        for x in range(parent.n(p)):
-            members = frozenset(
-                q for q in H.down(p)
-                if parent.restrict(p, q, x) in inc.mask[q]
-            )
-            try:
-                row.append(om.sieve_index(p, members))
-            except ValueError:
-                raise NotSubobject(
-                    f"classifying sieve at {H.name(p)!r} is not closed"
-                ) from None
-        comps.append(tuple(row))
-    return NatTransform(parent, om.presheaf, tuple(comps))
 
 
 def truth_pullback_mask(parent: Presheaf, phi: NatTransform,
                         om: OmegaResult) -> tuple[tuple[int, ...], ...]:
     """Sections classified as true: the pullback of truth along phi."""
-    H = parent.algebra
-    out = []
-    for p in H.elements():
-        top_idx = om.sieve_index(p, frozenset(H.down(p)))
-        out.append(tuple(
-            x for x in range(parent.n(p)) if phi.components[p][x] == top_idx
-        ))
-    return tuple(out)
+    return tuple(
+        tuple(x for x, s in enumerate(phi.components[p])
+              if s == om.truth.components[p][0])
+        for p in parent.algebra.elements()
+    )
 
 
 def check_classifier(parent: Presheaf, J: Topology, om: OmegaResult,
                      guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    """Every subsheaf is classified by exactly one arrow to the
-    classifier whose truth pullback recovers it."""
-    arrows = hom_presheaf(parent, om.presheaf, guard)
-    for inc in subobjects(parent, J, require_sheaf=True):
-        phi = classify(inc, om)
-        if not validate_nat(phi):
-            return False, (inc.mask, "not natural")
-        if truth_pullback_mask(parent, phi, om) != inc.mask:
-            return False, (inc.mask, "pullback mismatch")
-        matching = [
-            a for a in arrows
-            if truth_pullback_mask(parent, a, om) == inc.mask
-        ]
-        if len(matching) != 1 or matching[0].components != phi.components:
-            return False, (inc.mask, "not unique", len(matching))
+    """(Omega, true) classifies the subsheaves of `parent`: phi -> phi*(true)
+    is a bijection from hom(parent, Omega) onto subobjects(parent, J).
+
+    One pass over the arrows keeps the masks seen so far.  The witness is
+    (mask, "not unique") for the first arrow onto a seen mask, then (mask,
+    "not a subsheaf") for the least mask reached that is no subsheaf, then
+    (mask, "not classified") for the least subsheaf that no arrow reaches."""
+    seen = set()
+    for phi in hom_presheaf(parent, om.presheaf, guard):
+        mask = truth_pullback_mask(parent, phi, om)
+        if mask in seen:
+            return False, (mask, "not unique")
+        seen.add(mask)
+    subs = set(subobjects(parent, J, guard))
+    if seen - subs:
+        return False, (min(seen - subs), "not a subsheaf")
+    if subs - seen:
+        return False, (min(subs - seen), "not classified")
     return True, None
 
 

@@ -21,7 +21,6 @@ from tsettopos import (
     check_product_universal,
     check_pullback_universal,
     check_topos_axioms,
-    classify,
     closed_sieves,
     diamond,
     doubled_point_presheaf,
@@ -64,11 +63,12 @@ from tsettopos import (
 from strategies import ALGEBRAS, tsets
 from tsettopos import topos
 from tsettopos.heyting import NAMED_ALGEBRAS
-from tsettopos.sheaves import NatTransform, PresheafPullback
+from tsettopos.sheaves import NatTransform, PresheafPullback, SheafReport
 from tsettopos.topos import (
     product_universal_presheaf,
     pullback_presheaf,
     pullback_universal_presheaf,
+    truth_pullback_mask,
 )
 
 CH = chain3()
@@ -370,9 +370,135 @@ def test_classify_components_validate():
     subs = subobjects(one, CH_J)
     # sheaf subobjects of 1 = closed sieves at the top
     assert len(subs) == 3
-    for inc in subs:
-        phi = classify(inc, om)
-        assert validate_nat(phi)
+    pulled = [truth_pullback_mask(one, phi, om)
+              for phi in hom_presheaf(one, om.presheaf)]
+    assert sorted(pulled) == subs
+
+
+def _reference_classifier(parent, J, om):
+    """Reference: each subsheaf's characteristic arrow, which sends a
+    section to the sieve of levels where its restriction lies in the
+    subsheaf, is natural, pulls truth back to the subsheaf, and is the
+    only arrow that does."""
+    H = parent.algebra
+    arrows = hom_presheaf(parent, om.presheaf)
+    for mask in subobjects(parent, J):
+        comps = []
+        for p in H.elements():
+            row = []
+            for x in range(parent.n(p)):
+                members = frozenset(
+                    q for q in H.down(p)
+                    if parent.restrict(p, q, x) in mask[q]
+                )
+                if members not in om.sieves[p]:
+                    return False, (mask, "not closed")
+                row.append(om.sieves[p].index(members))
+            comps.append(tuple(row))
+        phi = NatTransform(parent, om.presheaf, tuple(comps))
+        if not validate_nat(phi):
+            return False, (mask, "not natural")
+        if truth_pullback_mask(parent, phi, om) != mask:
+            return False, (mask, "pullback mismatch")
+        matching = [
+            a for a in arrows
+            if truth_pullback_mask(parent, a, om) == mask
+        ]
+        if len(matching) != 1 or matching[0].components != phi.components:
+            return False, (mask, "not unique", len(matching))
+    return True, None
+
+
+def _is_chain(H):
+    return all(H.le(a, b) or H.le(b, a)
+               for a in H.elements() for b in H.elements())
+
+
+def _oracle_pools():
+    """(H, J, sheaves): chain3 and the diamond at totals <= 4, and every
+    non-chain algebra of up to 5 elements at totals <= 3, where the least
+    cover L(p) is a proper sieve and closedness bites."""
+    out = []
+    for H, max_total in [(CH, 4), (diamond(), 4)] + [
+            (H, 3) for _, H in algebra_pool(5) if not _is_chain(H)]:
+        J = territory_topology(H)
+        out.append((H, J, sheaf_pool(H, J, max_total)))
+    return out
+
+
+def _omega_without_least_at_top(H, J, monkeypatch):
+    real = topos.closed_sieves
+
+    def dropped(H, J, p):
+        sieves = real(H, J, p)
+        least = min(sieves, key=len)
+        return [m for m in sieves if p != H.top or m != least]
+
+    with monkeypatch.context() as m:
+        m.setattr(topos, "closed_sieves", dropped)
+        return omega(H, J)
+
+
+def test_classifier_agrees_with_reference(monkeypatch):
+    """Both checks pass every pool sheaf and fail the Omega missing its
+    least closed sieve at the top on the same sheaves: those with a
+    section at the top, which only the chain3 and diamond pools hold."""
+    pools = _oracle_pools()
+    assert len(pools) == 5
+    failing = []
+    for H, J, pool in pools:
+        om = omega(H, J)
+        dropped = _omega_without_least_at_top(H, J, monkeypatch)
+        assert dropped.presheaf.n(H.top) == om.presheaf.n(H.top) - 1
+        for P in pool:
+            assert check_classifier(P, J, om)[0] is True
+            assert _reference_classifier(P, J, om)[0] is True
+            verdict = check_classifier(P, J, dropped)[0]
+            assert verdict == _reference_classifier(P, J, dropped)[0]
+            assert verdict == (P.n(H.top) == 0)
+        failing.append(sum(P.n(H.top) > 0 for P in pool))
+    assert failing == [3, 1, 0, 0, 0]
+
+
+def test_classifier_reads_the_truth_arrow(monkeypatch):
+    """A truth arrow pointing at the least closed sieve at the top, not
+    the maximal one, is no classifier; a check that never reads `true`
+    passes it on every sheaf of both pools.  The check also fails an
+    Omega missing that sieve and a `subobjects` without its sheaf
+    filter."""
+    for H, size, failing in [(CH, 7, 3), (diamond(), 8, 1)]:
+        J = territory_topology(H)
+        pool = sheaf_pool(H, J, 4)
+        assert len(pool) == size
+        om = omega(H, J)
+        assert om.sieves[H.top][0] == min(om.sieves[H.top], key=len)
+        comps = list(om.truth.components)
+        comps[H.top] = (0,)
+        wrong = dataclasses.replace(om, truth=NatTransform(
+            om.truth.source, om.presheaf, tuple(comps)))
+        witnesses = [w for ok, w in
+                     (check_classifier(P, J, wrong) for P in pool) if not ok]
+        assert len(witnesses) == failing
+        if H is CH:
+            assert witnesses[0][1] == "not unique"
+        dropped = _omega_without_least_at_top(H, J, monkeypatch)
+        assert any(not check_classifier(P, J, dropped)[0] for P in pool)
+        with monkeypatch.context() as m:
+            m.setattr(topos, "is_sheaf", lambda P, J: SheafReport(True, None))
+            assert any(not check_classifier(P, J, om)[0] for P in pool)
+        assert all(check_classifier(P, J, om)[0] for P in pool)
+
+
+def test_subobject_enumeration_is_guarded():
+    P = make_presheaf(CH, [[f"x{i}" for i in range(20)], [], []],
+                      {(1, 0): [], (2, 1): []})
+    om = omega(CH, CH_J)
+    for enumerate_masks in (lambda: subobjects(P, CH_J),
+                            lambda: check_classifier(P, CH_J, om)):
+        with pytest.raises(SizeGuard) as err:
+            enumerate_masks()
+        assert (err.value.what, err.value.size) == \
+            ("subobject enumeration", 2 ** 20)
 
 
 def test_exponential_of_terminal_is_target():
