@@ -29,7 +29,7 @@ from .fileio import (
     tset_from_dict,
 )
 from .heyting import NAMED_ALGEBRAS
-from .sheaves import is_sheaf, sheafify, validate_nat, validate_presheaf
+from .sheaves import is_sheaf, naturality_witness, sheafify, validate_presheaf
 from .sites import territory_topology
 from .suites import (
     CheckResult,
@@ -177,7 +177,7 @@ def _cmd_omega(args) -> int:
     ))
     rows.append(CheckResult(
         "truth-natural", "true",
-        "pass" if validate_nat(om.truth) else "fail",
+        "pass" if naturality_witness(om.truth) is None else "fail",
     ))
     return _emit(rows, args.format, "omega",
                  {"file": str(path), "element": args.element})

@@ -179,28 +179,31 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
 def sheaf_pool(H: HeytingAlgebra, J: Topology, max_total: int, *,
                require_sheaf: bool = True) -> list[Presheaf]:
     """All presheaves over H with total section count up to max_total,
-    one per isomorphism class, optionally filtered to sheaves for J."""
+    one per isomorphism class, optionally filtered to sheaves for J.
+
+    Tables are chosen for the Hasse cover pairs and composed by
+    make_presheaf; choices whose paths disagree fail validate_presheaf.
+    The cover tables determine the presheaf, so their least relabelling
+    is the canonical key."""
     levels = list(H.elements())
-    pair_order = [
-        (p, q) for p in levels for q in H.down(p) if q != p
-    ]
+    cover_pairs = [(p, q) for q, p in H.covers()]
     out: list[Presheaf] = []
     seen: set[tuple] = set()
     for shape in itertools.product(range(max_total + 1), repeat=len(levels)):
         if sum(shape) > max_total:
             continue
+        if any(shape[p] and not shape[q] for p, q in cover_pairs):
+            continue
         choice_sets = [
             list(itertools.product(range(shape[q]), repeat=shape[p]))
-            for p, q in pair_order
+            for p, q in cover_pairs
         ]
-        if any(shape[p] and not shape[q] for p, q in pair_order):
-            continue
         # sections numbered level after level; a relabelling permutes
         # each level's block
         start = list(itertools.accumulate(shape, initial=0))
         blocks = [range(start[p], start[p + 1]) for p in levels]
         for combo in itertools.product(*choice_sets):
-            tables = dict(zip(pair_order, combo))
+            tables = dict(zip(cover_pairs, combo))
             sections = tuple(
                 tuple(f"x{i}" for i in range(shape[p])) for p in levels
             )
@@ -215,7 +218,7 @@ def sheaf_pool(H: HeytingAlgebra, J: Topology, max_total: int, *,
                 return tuple(
                     tuple(at[start[q] + tables[(p, q)][x - start[p]]]
                           for x in order[start[p]:start[p + 1]])
-                    for p, q in pair_order
+                    for p, q in cover_pairs
                 )
             key = (shape, _least_relabelling(blocks, relabelled))
             if key in seen:

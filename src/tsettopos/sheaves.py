@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import NotASheaf, PostulateRequired, SizeGuard
 from .heyting import HeytingAlgebra
-from .sites import Sieve, Topology, territory_topology
+from .sites import Topology, territory_topology
 from .tset import (
     DEFAULT_GUARD,
     TSet,
@@ -129,7 +131,8 @@ def validate_presheaf(P: Presheaf) -> ValidationReport:
 
 def tset_to_presheaf(t: TSet) -> Presheaf:
     """Sections over p are the elements existing exactly at p, after the
-    indiscernibility quotient; restriction is localisation.
+    indiscernibility quotient; restriction along a Hasse cover is
+    localisation, and make_presheaf composes the rest.
 
     Raises PostulateRequired when some needed localisation has no
     carrier witness.
@@ -145,19 +148,16 @@ def tset_to_presheaf(t: TSet) -> Presheaf:
     }
     sections = tuple(tuple(tq.name(x) for x in level[p]) for p in H.elements())
     restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            row = []
-            for x in level[p]:
-                w = loc[x][q]
-                if w is None:
-                    raise PostulateRequired(
-                        f"element {tq.name(x)!r} has no localisation at {H.name(q)!r}"
-                    )
-                row.append(pos[q][w])
-            restrict[(p, q)] = tuple(row)
+    for q, p in H.covers():
+        row = []
+        for x in level[p]:
+            w = loc[x][q]
+            if w is None:
+                raise PostulateRequired(
+                    f"element {tq.name(x)!r} has no localisation at {H.name(q)!r}"
+                )
+            row.append(pos[q][w])
+        restrict[(p, q)] = tuple(row)
     return make_presheaf(H, sections, restrict)
 
 
@@ -184,12 +184,8 @@ def quasi_presheaf(t: TSet) -> Presheaf:
         tuple(f"{H.name(p)}:{t.name(r)}" for r in reps[p])
         for p in H.elements()
     )
-    restrict = {}
-    for p in H.elements():
-        for q in H.down(p):
-            if q == p:
-                continue
-            restrict[(p, q)] = tuple(cls[q][r] for r in reps[p])
+    restrict = {(p, q): tuple(cls[q][r] for r in reps[p])
+                for q, p in H.covers()}
     return make_presheaf(H, sections, restrict)
 
 
@@ -224,85 +220,58 @@ def presheaf_to_tset(P: Presheaf, J: Topology | None = None) -> TSet:
 # ------------------------------------------------------- sheaf condition
 
 @dataclass(frozen=True)
-class MatchingFamily:
-    sieve: Sieve
-    choice: tuple[int, ...]
-    # choice aligns with sorted(sieve.members)
-
-
-def matching_families(P: Presheaf, s: Sieve) -> list[MatchingFamily]:
-    """All families over the sieve, one section per member, compatible
-    under restriction."""
-    H = P.algebra
-    members = sorted(s.members)
-    out: list[MatchingFamily] = []
-    chosen: list[int] = []
-
-    def rec(k: int):
-        if k == len(members):
-            out.append(MatchingFamily(s, tuple(chosen)))
-            return
-        q = members[k]
-        for x in range(P.n(q)):
-            ok = True
-            for j in range(k):
-                r = members[j]
-                if H.le(r, q) and P.restrict(q, r, x) != chosen[j]:
-                    ok = False
-                    break
-                if H.le(q, r) and P.restrict(r, q, chosen[j]) != x:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                rec(k + 1)
-                chosen.pop()
-
-    rec(0)
-    return out
-
-
-def amalgamate(P: Presheaf, m: MatchingFamily) -> list[int]:
-    """Sections at the sieve's base whose restrictions reproduce the family."""
-    s = m.sieve
-    members = sorted(s.members)
-    return [
-        x for x in range(P.n(s.at))
-        if all(P.restrict(s.at, q, x) == m.choice[k]
-               for k, q in enumerate(members))
-    ]
-
-
-@dataclass(frozen=True)
 class SheafReport:
     ok: bool
     witness: tuple | None
 
 
+def _unit(P: Presheaf, p: int, L: list[int]) -> list[tuple[tuple[int], ...]]:
+    """eta_p: each section x at p as the family (x|q for q in L), shaped
+    like a natural family out of the terminal presheaf over L."""
+    return [tuple((P.tables[p][q][x],) for q in L) for x in range(P.n(p))]
+
+
 def is_separated(P: Presheaf, J: Topology) -> SheafReport:
-    """No two distinct sections agree on a whole cover; a pair agreeing
-    on some cover agrees on L(p), so only least covers are read."""
+    """eta_p is injective at every p: no two distinct sections agree on
+    a whole cover.  A pair agreeing on some cover agrees on L(p), so
+    only least covers are read.  Where p lies in L(p), eta_p keeps the
+    section itself and cannot fail to be injective."""
     H = P.algebra
     for p in H.elements():
-        L = J.least(p)
-        for x in range(P.n(p)):
-            for y in range(x + 1, P.n(p)):
-                if all(P.restrict(p, q, x) == P.restrict(p, q, y) for q in L):
-                    return SheafReport(False, (
-                        H.name(p), tuple(sorted(L)),
-                        P.section_name(p, x), P.section_name(p, y)))
+        L = sorted(J.least(p))
+        if p in L:
+            continue
+        twins: dict[tuple, list[int]] = {}
+        for x, row in enumerate(_unit(P, p, L)):
+            twins.setdefault(row, []).append(x)
+        pairs = [xs[:2] for xs in twins.values() if len(xs) > 1]
+        if pairs:
+            x, y = min(pairs)
+            return SheafReport(False, (
+                H.name(p), tuple(L),
+                P.section_name(p, x), P.section_name(p, y)))
     return SheafReport(True, None)
 
 
 def is_sheaf(P: Presheaf, J: Topology) -> SheafReport:
-    """Every matching family over every cover amalgamates exactly once;
-    by the module docstring's argument only least covers are read."""
+    """eta_p is a bijection onto the matching families over L(p), the
+    natural families out of the terminal presheaf over L(p): each family
+    is hit exactly once.  By the module docstring's argument only least
+    covers are read.  Where p lies in L(p), L(p) is all of down(p), a
+    family is its own value at p, and the check cannot fail.
+
+    The witness is (p, L(p), family, number of sections hitting it)."""
     H = P.algebra
+    one = terminal_presheaf(H)
     for p in H.elements():
-        L = J.least(p)
-        for m in matching_families(P, Sieve(H, p, L)):
-            if (n := len(amalgamate(P, m))) != 1:
-                return SheafReport(False, (H.name(p), tuple(sorted(L)), m.choice, n))
+        L = sorted(J.least(p))
+        if p in L:
+            continue
+        hits = Counter(_unit(P, p, L))
+        for fam in natural_families(one, P, L):
+            if (n := hits[fam]) != 1:
+                return SheafReport(False, (
+                    H.name(p), tuple(L), tuple(x for (x,) in fam), n))
     return SheafReport(True, None)
 
 
@@ -311,19 +280,19 @@ def is_sheaf(P: Presheaf, J: Topology) -> SheafReport:
 def _collate_once(P: Presheaf, J: Topology) -> Presheaf:
     """The plus construction on least covers.  Families over covers of p
     agreeing on a common cover agree on L(p), so a section at p is one
-    matching family over L(p); restriction to q < p cuts it down to
-    L(q), which lies inside L(p) and below q."""
+    matching family over L(p), a natural family out of the terminal
+    presheaf; restriction to q < p cuts it down to L(q), which lies
+    inside L(p) and below q."""
     H = P.algebra
-    least = [J.least(p) for p in H.elements()]
-    fams = [[m.choice for m in matching_families(P, Sieve(H, p, L))]
-            for p, L in enumerate(least)]
+    one = terminal_presheaf(H)
+    least = [sorted(J.least(p)) for p in H.elements()]
+    fams = [natural_families(one, P, L) for L in least]
     index = [{f: k for k, f in enumerate(level)} for level in fams]
     sections = tuple(tuple(f"{H.name(p)}+{k}" for k in range(len(level)))
                      for p, level in enumerate(fams))
     restrict = {}
     for q, p in H.covers():
-        # choices align with the sorted members of each least cover
-        keep = [k for k, m in enumerate(sorted(least[p])) if m in least[q]]
+        keep = [k for k, m in enumerate(least[p]) if m in least[q]]
         restrict[(p, q)] = tuple(
             index[q][tuple(f[k] for k in keep)] for f in fams[p])
     return make_presheaf(H, sections, restrict)
@@ -379,15 +348,14 @@ def naturality_witness(nt: NatTransform) -> tuple | None:
     return None
 
 
-def validate_nat(nt: NatTransform) -> bool:
-    return naturality_witness(nt) is None
-
-
-def natural_families(P: Presheaf, Q: Presheaf,
-                     levels) -> list[tuple[tuple[int, ...], ...]]:
+def natural_families(
+        P: Presheaf, Q: Presheaf, levels, bijective: bool = False,
+) -> list[tuple[tuple[int, ...], ...]]:
     """Every natural family of maps P(q) -> Q(q) over the down-closed
     set `levels` (ascending), as component tuples aligned with `levels`,
-    in ascending order.
+    in ascending order.  With `bijective`, components are drawn from
+    the injections only, which are the bijections when P and Q have
+    equally many sections at each level.
 
     Levels are chosen top-down (larger down-sets first), each candidate
     component pruned against the levels above it chosen so far."""
@@ -410,7 +378,9 @@ def natural_families(P: Presheaf, Q: Presheaf,
             out.append(tuple(chosen[q] for q in levels))
             return
         p = order[k]
-        for comp in itertools.product(range(Q.n(p)), repeat=P.n(p)):
+        draw = (itertools.permutations(range(Q.n(p)), P.n(p)) if bijective
+                else itertools.product(range(Q.n(p)), repeat=P.n(p)))
+        for comp in draw:
             if natural_with(p, comp):
                 chosen[p] = comp
                 rec(k + 1)
@@ -441,16 +411,18 @@ def hom_presheaf(P: Presheaf, Q: Presheaf,
 
 def find_presheaf_iso(P: Presheaf, Q: Presheaf,
                       guard: int = DEFAULT_GUARD) -> NatTransform | None:
-    """A natural isomorphism P -> Q, or None."""
+    """The least natural isomorphism P -> Q, or None.  Only bijective
+    components are enumerated, at most the product of n_p! over p."""
     H = P.algebra
     if H != Q.algebra:
         return None
     if any(P.n(p) != Q.n(p) for p in H.elements()):
         return None
-    for nt in hom_presheaf(P, Q, guard):
-        if all(len(set(nt.components[p])) == P.n(p) for p in H.elements()):
-            return nt
-    return None
+    total = math.prod(math.factorial(P.n(p)) for p in H.elements())
+    if total > guard:
+        raise SizeGuard("presheaf iso enumeration", total, guard)
+    isos = natural_families(P, Q, H.elements(), bijective=True)
+    return NatTransform(P, Q, isos[0]) if isos else None
 
 
 # ------------------------------------------------------- small presheaves

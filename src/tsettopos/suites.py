@@ -26,10 +26,10 @@ from .sheaves import (
     Presheaf,
     find_presheaf_iso,
     is_sheaf,
+    naturality_witness,
     quasi_presheaf,
     sheafify,
     tset_to_presheaf,
-    validate_nat,
 )
 from .sites import closed_sieves, principal_sieves, territory_topology
 from .tset import (
@@ -243,7 +243,7 @@ def _check_omega_closed_sieves(config: SuiteConfig,
         out.append(_row("omega-closed-sieves", f"{lbl}/sheaf",
                         is_sheaf(om.presheaf, J).ok))
         out.append(_row("omega-closed-sieves", f"{lbl}/truth",
-                        validate_nat(om.truth)))
+                        naturality_witness(om.truth) is None))
     return out
 
 

@@ -8,9 +8,8 @@ from hypothesis import given
 
 from tsettopos import (
     NotASheaf,
-    Sieve,
+    SizeGuard,
     algebra_pool,
-    amalgamate,
     chain3,
     doubled_point_presheaf,
     diamond,
@@ -21,7 +20,7 @@ from tsettopos import (
     is_sheaf,
     make_presheaf,
     make_tset,
-    matching_families,
+    naturality_witness,
     presheaf_to_tset,
     quasi_presheaf,
     representable,
@@ -35,10 +34,10 @@ from tsettopos import (
     tset_pool,
     tset_to_presheaf,
     two_element,
-    validate_nat,
     validate_presheaf,
     validate_tset,
 )
+from oracles import amalgamations, matching_families
 from strategies import algebras, tsets
 
 
@@ -126,7 +125,7 @@ def test_round_trip_preserves_presheaf(t):
     Q = tset_to_presheaf(presheaf_to_tset(P, J))
     iso = find_presheaf_iso(P, Q)
     assert iso is not None
-    assert validate_nat(iso)
+    assert naturality_witness(iso) is None
 
 
 def test_presheaf_to_tset_requires_sheaf():
@@ -228,6 +227,77 @@ def test_no_iso_between_different_shapes():
     assert find_presheaf_iso(one, P) is None
 
 
+def _reference_iso(P, Q, guard):
+    """Reference: every natural transformation, filtered for the first
+    whose components are all bijective."""
+    H = P.algebra
+    if H != Q.algebra or any(P.n(p) != Q.n(p) for p in H.elements()):
+        return None
+    for nt in hom_presheaf(P, Q, guard):
+        if all(len(set(nt.components[p])) == P.n(p) for p in H.elements()):
+            return nt
+    return None
+
+
+def _oracle_pairs(algebras):
+    """(sheafify(quasi), completion) for every quasi T-set with carrier
+    at most 3 over the labelled algebras."""
+    for lbl, H in algebras:
+        J = territory_topology(H)
+        for j, t in enumerate(tset_pool(
+                H, 3, require_separated=False, require_postulate=False,
+                include_empty=True)):
+            yield ((lbl, j), sheafify(quasi_presheaf(t), J),
+                   tset_to_presheaf(singleton_completion(t).tset))
+
+
+def _decide(search, P, Q, guard):
+    try:
+        return True, search(P, Q, guard)
+    except SizeGuard:
+        return False, None
+
+
+def test_iso_search_agrees_with_hom_filter_reference():
+    # the bijection search returns the reference's arrow wherever the
+    # reference decides, and decides more pairs within the same guard
+    decided = [0, 0]
+    for label, S, C in _oracle_pairs(
+            algebra_pool(5) + [("diamond", diamond())]):
+        ref_done, ref = _decide(_reference_iso, S, C, 10**6)
+        done, iso = _decide(find_presheaf_iso, S, C, 10**6)
+        decided[0] += ref_done
+        decided[1] += done
+        if ref_done:
+            assert done and iso == ref, label
+        if done:
+            assert iso is not None, label
+    assert decided == [1016, 1047]
+
+
+def test_iso_search_decides_past_the_hom_guard():
+    # A4.0 quasi T-set 37: 6**6 * 2**2 * 3**3 homs, but 6! * 2! * 3! bijections
+    A4 = [(lbl, H) for lbl, H in algebra_pool(4) if lbl == "A4.0"]
+    (label, S, C), = [pair for pair in _oracle_pairs(A4)
+                      if pair[0] == ("A4.0", 37)]
+    assert [S.n(p) for p in S.algebra.elements()] == [6, 2, 3, 1]
+    with pytest.raises(SizeGuard):
+        _reference_iso(S, C, 10**6)
+    iso = find_presheaf_iso(S, C, 10**6)
+    assert naturality_witness(iso) is None
+    assert all(sorted(c) == list(range(len(c))) for c in iso.components)
+
+
+def test_iso_enumeration_is_guarded():
+    H = chain3()
+    P = make_presheaf(H, [[f"x{i}" for i in range(10)], [], []],
+                      {(1, 0): [], (2, 1): []})
+    with pytest.raises(SizeGuard) as err:
+        find_presheaf_iso(P, P, 10**6)
+    assert (err.value.what, err.value.size) == \
+        ("presheaf iso enumeration", 3628800)
+
+
 def _covering(J, p):
     return sorted(J.covers[p], key=lambda s: (len(s), sorted(s)))
 
@@ -248,10 +318,10 @@ def _all_covers_sheaf(P, J):
     H = P.algebra
     for p in H.elements():
         for S in _covering(J, p):
-            for m in matching_families(P, Sieve(H, p, S)):
-                n = len(amalgamate(P, m))
+            for m in matching_families(P, S):
+                n = len(amalgamations(P, p, S, m))
                 if n != 1:
-                    return (False, (H.name(p), tuple(sorted(S)), m.choice, n))
+                    return (False, (H.name(p), tuple(sorted(S)), m, n))
     return (True, None)
 
 

@@ -9,23 +9,24 @@ from tsettopos import (
     Sieve,
     algebra_pool,
     all_sieves,
-    amalgamate,
     chain3,
     closed_sieves,
     closure,
     diamond,
     doubled_point_presheaf,
     is_closed,
-    matching_families,
     maximal_sieve,
     pullback_sieve,
     set_like_tset,
     singleton_completion,
+    terminal_presheaf,
     territory_topology,
     tset_to_presheaf,
     two_element,
     validate_topology,
 )
+from tsettopos.sheaves import natural_families
+from oracles import amalgamations, matching_families
 from strategies import algebra_elements, algebras
 
 
@@ -197,8 +198,8 @@ def test_matching_families_amalgamate_uniquely_on_sheaf():
     P = tset_to_presheaf(singleton_completion(set_like_tset(H, 2)).tset)
     for p in H.elements():
         for fs in J.covers[p]:
-            for fam in matching_families(P, Sieve(H, p, fs)):
-                assert len(amalgamate(P, fam)) == 1
+            for fam in matching_families(P, fs):
+                assert len(amalgamations(P, p, fs, fam)) == 1
 
 
 def test_matching_family_fails_on_non_sheaf():
@@ -208,8 +209,8 @@ def test_matching_family_fails_on_non_sheaf():
     bad = []
     for p in H.elements():
         for fs in J.covers[p]:
-            for fam in matching_families(P, Sieve(H, p, fs)):
-                if len(amalgamate(P, fam)) != 1:
+            for fam in matching_families(P, fs):
+                if len(amalgamations(P, p, fs, fam)) != 1:
                     bad.append((p, fam))
     assert bad
 
@@ -221,8 +222,12 @@ def test_matching_families_respect_compatibility(hp, data):
     P = tset_to_presheaf(singleton_completion(set_like_tset(H, 2)).tset)
     fs = data.draw(st.sampled_from(sorted(J.covers[p], key=sorted)))
     members = sorted(fs)
-    for fam in matching_families(P, Sieve(H, p, fs)):
+    fams = matching_families(P, fs)
+    for fam in fams:
         for i, q in enumerate(members):
             for j, r in enumerate(members):
                 if H.le(r, q):
-                    assert P.restrict(q, r, fam.choice[i]) == fam.choice[j]
+                    assert P.restrict(q, r, fam[i]) == fam[j]
+    # the same families, in the same order, as natural families out of 1
+    assert fams == [tuple(x for (x,) in nat) for nat in natural_families(
+        terminal_presheaf(H), P, members)]

@@ -38,6 +38,7 @@ from tsettopos import (
     make_presheaf,
     make_tset,
     mediators,
+    naturality_witness,
     omega,
     product,
     principal_tset,
@@ -56,7 +57,6 @@ from tsettopos import (
     tset_to_presheaf,
     two_element,
     unique_to_terminal,
-    validate_nat,
     validate_relation,
     validate_tset,
 )
@@ -351,7 +351,7 @@ def test_counterexample_reports_frozen(name, size, vertex, flawed):
 def test_omega_levels_are_closed_sieves():
     om = omega(CH, CH_J)
     assert is_sheaf(om.presheaf, CH_J).ok
-    assert validate_nat(om.truth)
+    assert naturality_witness(om.truth) is None
     for p in CH.elements():
         assert om.presheaf.n(p) == len(closed_sieves(CH, CH_J, p))
     assert [om.presheaf.n(p) for p in CH.elements()] == [1, 2, 3]
@@ -396,7 +396,7 @@ def _reference_classifier(parent, J, om):
                 row.append(om.sieves[p].index(members))
             comps.append(tuple(row))
         phi = NatTransform(parent, om.presheaf, tuple(comps))
-        if not validate_nat(phi):
+        if naturality_witness(phi) is not None:
             return False, (mask, "not natural")
         if truth_pullback_mask(parent, phi, om) != mask:
             return False, (mask, "pullback mismatch")
@@ -417,12 +417,17 @@ def _is_chain(H):
 def _oracle_pools():
     """(H, J, sheaves): chain3 and the diamond at totals <= 4, and every
     non-chain algebra of up to 5 elements at totals <= 3, where the least
-    cover L(p) is a proper sieve and closedness bites."""
+    cover L(p) is a proper sieve and closedness bites.  Totals <= 3
+    leave no section at the top of those algebras, so their pools also
+    hold the terminal sheaf."""
     out = []
-    for H, max_total in [(CH, 4), (diamond(), 4)] + [
-            (H, 3) for _, H in algebra_pool(5) if not _is_chain(H)]:
+    for H in (CH, diamond()):
         J = territory_topology(H)
-        out.append((H, J, sheaf_pool(H, J, max_total)))
+        out.append((H, J, sheaf_pool(H, J, 4)))
+    for _, H in algebra_pool(5):
+        if not _is_chain(H):
+            J = territory_topology(H)
+            out.append((H, J, sheaf_pool(H, J, 3) + [terminal_presheaf(H)]))
     return out
 
 
@@ -442,7 +447,7 @@ def _omega_without_least_at_top(H, J, monkeypatch):
 def test_classifier_agrees_with_reference(monkeypatch):
     """Both checks pass every pool sheaf and fail the Omega missing its
     least closed sieve at the top on the same sheaves: those with a
-    section at the top, which only the chain3 and diamond pools hold."""
+    section at the top."""
     pools = _oracle_pools()
     assert len(pools) == 5
     failing = []
@@ -457,7 +462,7 @@ def test_classifier_agrees_with_reference(monkeypatch):
             assert verdict == _reference_classifier(P, J, dropped)[0]
             assert verdict == (P.n(H.top) == 0)
         failing.append(sum(P.n(H.top) > 0 for P in pool))
-    assert failing == [3, 1, 0, 0, 0]
+    assert failing == [3, 1, 1, 1, 1]
 
 
 def test_classifier_reads_the_truth_arrow(monkeypatch):
@@ -487,6 +492,34 @@ def test_classifier_reads_the_truth_arrow(monkeypatch):
             m.setattr(topos, "is_sheaf", lambda P, J: SheafReport(True, None))
             assert any(not check_classifier(P, J, om)[0] for P in pool)
         assert all(check_classifier(P, J, om)[0] for P in pool)
+
+
+def test_classifier_passes_truth_moved_by_an_automorphism():
+    """On chain3 the truth pointing at {mu, p} at the top is sigma . true,
+    where sigma is the natural automorphism of Omega that swaps the two
+    largest closed sieves at the top.  It is natural, and Omega with it
+    is a genuine classifier: the check must pass it."""
+    om = omega(CH, CH_J)
+    top = CH.top
+    sieves = om.sieves[top]
+    full = sieves.index(frozenset(CH.down(top)))
+    moved = sieves.index(frozenset({CH.index("mu"), CH.index("p")}))
+    assert om.truth.components[top] == (full,)
+    swap = {full: moved, moved: full}
+    sigma = NatTransform(om.presheaf, om.presheaf, tuple(
+        tuple(swap.get(k, k) if q == top else k
+              for k in range(om.presheaf.n(q)))
+        for q in CH.elements()))
+    assert naturality_witness(sigma) is None
+    truth = sigma.compose(om.truth)
+    assert truth.components[top] == (moved,)
+    assert naturality_witness(truth) is None
+    moved_om = dataclasses.replace(om, truth=truth)
+    pool = sheaf_pool(CH, CH_J, 4)
+    assert len(pool) == 7
+    for P in pool:
+        ok, witness = check_classifier(P, CH_J, moved_om)
+        assert ok, witness
 
 
 def test_subobject_enumeration_is_guarded():
@@ -816,13 +849,13 @@ def _transpose_adjunction(E, Z):
         return False, ("count", len(lower), len(upper))
     for k in lower:
         h = topos.transpose(E, Z, k)
-        if not validate_nat(h):
+        if naturality_witness(h) is not None:
             return False, ("transpose-nat", k.components)
         if topos.untranspose(E, Z, h).components != k.components:
             return False, ("roundtrip-lower", k.components)
     for h in upper:
         k = topos.untranspose(E, Z, h)
-        if not validate_nat(k):
+        if naturality_witness(k) is not None:
             return False, ("untranspose-nat", h.components)
         if topos.transpose(E, Z, k).components != h.components:
             return False, ("roundtrip-upper", h.components)
