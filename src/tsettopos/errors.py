@@ -71,15 +71,6 @@ class NotCompatible(WorkbenchError):
         super().__init__(f"elements {pair!r} are not compatible")
 
 
-class NotBelow(WorkbenchError):
-    """Sieve pullback target is not below the sieve's base element."""
-
-    def __init__(self, element, base):
-        self.element = element
-        self.base = base
-        super().__init__(f"{element!r} is not below {base!r}")
-
-
 class NotASheaf(WorkbenchError):
     """A presheaf failed the unique-amalgamation condition."""
 

@@ -7,8 +7,9 @@ via the agreement-degree identity.  Sheafification is the plus
 construction applied twice.
 
 J must be a Grothendieck topology (``territory_topology`` is the only
-constructor), so every cover of p contains the least cover L(p), and
-the sheaf condition and the plus construction read L(p) alone:
+constructor).  It stores only the least cover L(p) of each p, which
+every cover of p contains, and the sheaf condition and the plus
+construction read L(p) alone:
   - a family over a cover S restricts to L(p) inside S;
   - L(p) meets each q < p in a cover of q, which contains L(q);
   - so a failure at (p, S) is a failure at L(p) or at some L(q), q in S.
@@ -225,7 +226,7 @@ class SheafReport:
     witness: tuple | None
 
 
-def _unit(P: Presheaf, p: int, L: list[int]) -> list[tuple[tuple[int], ...]]:
+def _unit(P: Presheaf, p: int, L: tuple[int, ...]) -> list[tuple[tuple[int], ...]]:
     """eta_p: each section x at p as the family (x|q for q in L), shaped
     like a natural family out of the terminal presheaf over L."""
     return [tuple((P.tables[p][q][x],) for q in L) for x in range(P.n(p))]
@@ -238,7 +239,7 @@ def is_separated(P: Presheaf, J: Topology) -> SheafReport:
     section itself and cannot fail to be injective."""
     H = P.algebra
     for p in H.elements():
-        L = sorted(J.least(p))
+        L = J.least[p]
         if p in L:
             continue
         twins: dict[tuple, list[int]] = {}
@@ -248,7 +249,7 @@ def is_separated(P: Presheaf, J: Topology) -> SheafReport:
         if pairs:
             x, y = min(pairs)
             return SheafReport(False, (
-                H.name(p), tuple(L),
+                H.name(p), L,
                 P.section_name(p, x), P.section_name(p, y)))
     return SheafReport(True, None)
 
@@ -264,14 +265,14 @@ def is_sheaf(P: Presheaf, J: Topology) -> SheafReport:
     H = P.algebra
     one = terminal_presheaf(H)
     for p in H.elements():
-        L = sorted(J.least(p))
+        L = J.least[p]
         if p in L:
             continue
         hits = Counter(_unit(P, p, L))
         for fam in natural_families(one, P, L):
             if (n := hits[fam]) != 1:
                 return SheafReport(False, (
-                    H.name(p), tuple(L), tuple(x for (x,) in fam), n))
+                    H.name(p), L, tuple(x for (x,) in fam), n))
     return SheafReport(True, None)
 
 
@@ -285,14 +286,13 @@ def _collate_once(P: Presheaf, J: Topology) -> Presheaf:
     inside L(p) and below q."""
     H = P.algebra
     one = terminal_presheaf(H)
-    least = [sorted(J.least(p)) for p in H.elements()]
-    fams = [natural_families(one, P, L) for L in least]
+    fams = [natural_families(one, P, L) for L in J.least]
     index = [{f: k for k, f in enumerate(level)} for level in fams]
     sections = tuple(tuple(f"{H.name(p)}+{k}" for k in range(len(level)))
                      for p, level in enumerate(fams))
     restrict = {}
     for q, p in H.covers():
-        keep = [k for k, m in enumerate(least[p]) if m in least[q]]
+        keep = [k for k, m in enumerate(J.least[p]) if m in J.least[q]]
         restrict[(p, q)] = tuple(
             index[q][tuple(f[k] for k in keep)] for f in fams[p])
     return make_presheaf(H, sections, restrict)
@@ -436,11 +436,6 @@ def representable(H: HeytingAlgebra, s: int) -> Presheaf:
 
 def terminal_presheaf(H: HeytingAlgebra) -> Presheaf:
     return representable(H, H.top)
-
-
-def empty_presheaf(H: HeytingAlgebra) -> Presheaf:
-    sections = tuple(() for _ in H.elements())
-    return make_presheaf(H, sections, {(p, q): () for q, p in H.covers()})
 
 
 def _sectionwise_pairs(P: Presheaf, Q: Presheaf, agree):

@@ -3,11 +3,11 @@
 Arrows of the site are order pairs q <= p, so a sieve at p is just a
 downward-closed subset of the elements below p.  The coverage of
 interest is the canonical join coverage of the locale: a sieve covers p
-exactly when its join is p.  It is read straight off that condition,
-not generated from a basis.  Everything is enumerated explicitly.
-On a finite poset a topology is fixed by one least cover L(p) per
-element; every reader of a coverage but ``validate_topology`` goes
-through ``Topology.least``, and closure is one step.
+exactly when its join is p.  On a finite poset such a topology is fixed
+by one least cover L(p) per element, and that is all a ``Topology``
+stores; ``territory_topology`` computes L(p) in closed form from the
+join-irreducibles.  A sieve S covers p exactly when L(p) <= S, and
+closure is one step.
 """
 
 from __future__ import annotations
@@ -15,28 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotBelow
 from .heyting import HeytingAlgebra
 from .tset import ValidationReport
-
-
-@dataclass(frozen=True)
-class Sieve:
-    algebra: HeytingAlgebra
-    at: int
-    members: frozenset[int]
-
-    def sorted_members(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
-
-    def __repr__(self):
-        H = self.algebra
-        names = ",".join(H.name(m) for m in self.sorted_members())
-        return f"Sieve(at={H.name(self.at)}, {{{names}}})"
-
-
-def maximal_sieve(H: HeytingAlgebra, p: int) -> Sieve:
-    return Sieve(H, p, frozenset(H.down(p)))
 
 
 def all_sieves(H: HeytingAlgebra, p: int) -> list[frozenset[int]]:
@@ -52,50 +32,43 @@ def all_sieves(H: HeytingAlgebra, p: int) -> list[frozenset[int]]:
     return out
 
 
-def pullback_sieve(s: Sieve, r: int) -> Sieve:
-    """Restrict a sieve at p to an element r <= p."""
-    H = s.algebra
-    if not H.le(r, s.at):
-        raise NotBelow(H.name(r), H.name(s.at))
-    below = set(H.down(r))
-    return Sieve(H, r, frozenset(m for m in s.members if m in below))
-
-
 @dataclass(frozen=True)
 class Topology:
+    """least[p] is L(p), the least cover of p, as a sorted tuple: covers
+    of p are upward closed and closed under meets, so a sieve S covers p
+    exactly when L(p) <= S."""
     algebra: HeytingAlgebra
-    covers: tuple[frozenset[frozenset[int]], ...]
-
-    def least(self, p: int) -> frozenset[int]:
-        """L(p), the smallest cover: covers of p are upward closed and
-        closed under meets, so a sieve S covers p exactly when L(p) <= S."""
-        return frozenset.intersection(*self.covers[p])
+    least: tuple[tuple[int, ...], ...]
 
 
 def validate_topology(J: Topology) -> ValidationReport:
-    """Maximality, stability under pullback, and transitivity.
+    """Maximality, stability under pullback, and transitivity of the
+    covers {S : L(p) <= S} derived from the least covers.
 
     Transitivity is the non-vacuous form: a sieve R at p belongs to J(p)
     whenever some cover S of p has every pullback of R along members of
     S covering.
     """
     H = J.algebra
+    covers = [frozenset(S for S in all_sieves(H, p)
+                        if S.issuperset(J.least[p]))
+              for p in H.elements()]
     bad: list[tuple[str, tuple]] = []
     for p in H.elements():
-        covering = sorted(J.covers[p], key=lambda s: (len(s), sorted(s)))
-        if frozenset(H.down(p)) not in J.covers[p]:
+        covering = sorted(covers[p], key=lambda s: (len(s), sorted(s)))
+        if frozenset(H.down(p)) not in covers[p]:
             bad.append(("maximality", (H.name(p),)))
         for S in covering:
             for r in H.down(p):
                 pulled = frozenset(m for m in S if H.le(m, r))
-                if pulled not in J.covers[r]:
+                if pulled not in covers[r]:
                     bad.append(("stability", (H.name(p), H.name(r))))
         for S in covering:
             for R in all_sieves(H, p):
-                if R in J.covers[p]:
+                if R in covers[p]:
                     continue
                 if all(
-                    frozenset(m for m in R if H.le(m, q)) in J.covers[q]
+                    frozenset(m for m in R if H.le(m, q)) in covers[q]
                     for q in S
                 ):
                     bad.append(("transitivity", (H.name(p), tuple(sorted(R)))))
@@ -103,35 +76,39 @@ def validate_topology(J: Topology) -> ValidationReport:
 
 
 def territory_topology(H: HeytingAlgebra) -> Topology:
-    """The join-cover topology: a sieve covers p iff its join is p.
+    """The join-cover topology, a sieve covering p iff its join is p, as
+    its least covers L(p) = down(J(H) & down(p)), where J(H) holds the
+    join-irreducibles: the j != bottom that are not the join of the
+    elements strictly below them (Johnstone, Elephant, C2.2.3).
 
-    This is the topology a basis of territories (families joining to p)
-    would generate: a sieve at p containing the down-closure of such a
-    family joins to p, and a sieve joining to p is itself one.
+    Proof.  Let S cover p and let j <= p be irreducible.  H is
+    distributive, so j = j & sigma(S) = sigma(j & s for s in S); each
+    j & s lies in S, and j is not the join of elements strictly below
+    it, so some j & s equals j, and j is in S.  Hence every cover of p
+    contains each irreducible below p, and with it their down-set.
+    Conversely, every element is the join of the irreducibles below it
+    (induct on the down-set: a reducible q is the join of its strictly
+    smaller elements), so that down-set joins to p and covers p.
     """
+    irreducible = [j for j in H.elements() if j != H.bottom and
+                   H.sigma(q for q in H.down(j) if q != j) != j]
     return Topology(H, tuple(
-        frozenset(s for s in all_sieves(H, p) if H.sigma(s) == p)
+        tuple(sorted({q for j in irreducible if H.le(j, p)
+                      for q in H.down(j)}))
         for p in H.elements()
     ))
 
 
-def is_closed(s: Sieve, J: Topology) -> bool:
-    """A sieve is closed when every element it covers is already a member."""
-    return all(r in s.members or not J.least(r) <= s.members
-               for r in s.algebra.down(s.at))
-
-
-def closure(s: Sieve, J: Topology) -> Sieve:
-    """Adjoin every element the sieve covers, {r <= p : L(r) <= S}.  This
-    is idempotent: if the result contains L(r), S covers each q in L(r),
-    so by transitivity S covers r."""
-    return Sieve(s.algebra, s.at, frozenset(
-        r for r in s.algebra.down(s.at) if J.least(r) <= s.members))
+def closure(J: Topology, p: int, S: frozenset[int]) -> frozenset[int]:
+    """Adjoin every element the sieve S at p covers, {r <= p : L(r) <= S}.
+    This is idempotent: if the result contains L(r), S covers each q in
+    L(r), so by transitivity S covers r."""
+    return frozenset(r for r in J.algebra.down(p) if S.issuperset(J.least[r]))
 
 
 def closed_sieves(H: HeytingAlgebra, J: Topology, p: int) -> list[frozenset[int]]:
     """Brute force: every sieve at p that is closed, canonical order."""
-    return [s for s in all_sieves(H, p) if is_closed(Sieve(H, p, s), J)]
+    return [S for S in all_sieves(H, p) if closure(J, p, S) == S]
 
 
 def principal_sieves(H: HeytingAlgebra, p: int) -> list[frozenset[int]]:

@@ -564,8 +564,9 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
     row is (check, instance, ok, witness); the witness is None on passing
     rows.  An adjunction row aggregates over every y(p) (pairs of them
     for naturality); on failure it stops there and pairs that y(p)'s
-    name with its witness.  Each distinct presheaf is sheaf-checked
-    once per call."""
+    name with its witness.  A pullback row's witness is ((i, j), witness)
+    for the cospan of the i-th arrow of hom(A, C) and the j-th of
+    hom(B, C).  Each distinct presheaf is sheaf-checked once per call."""
     if not pool:
         return ToposReport(True, ())
     H = pool[0].algebra
@@ -576,16 +577,16 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
 
     verdicts: dict = {}
 
-    def sheaf_row(check: str, inst: str, P: Presheaf):
+    def sheaf(P: Presheaf) -> tuple[bool, object]:
         if P not in verdicts:
             verdicts[P] = is_sheaf(P, J)
-        row(check, inst, verdicts[P].ok, verdicts[P].witness)
+        return verdicts[P].ok, verdicts[P].witness
 
     named = [(P, "F(" + ",".join(str(P.n(p)) for p in H.elements()) + ")")
              for P in pool]
     memo = Memo()
     one = terminal_presheaf(H)
-    sheaf_row("terminal-sheaf", "1", one)
+    row("terminal-sheaf", "1", *sheaf(one))
     for P, name in named:
         count = len(memo.hom(P, one, guard))
         row("terminal-unique", name, count == 1, count)
@@ -593,19 +594,20 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
     for A, a in named:
         for B, b in named:
             inst = f"{a}x{b}"
-            sheaf_row("product-sheaf", inst, memo.product(A, B))
+            row("product-sheaf", inst, *sheaf(memo.product(A, B)))
             row("product-universal", inst, *product_universal_presheaf(A, B))
 
     for C, c in named:
         for A, a in named:
             for B, b in named:
                 inst = f"{a}->{c}<-{b}"
-                for f in memo.hom(A, C, guard):
-                    for g in memo.hom(B, C, guard):
+                for i, f in enumerate(memo.hom(A, C, guard)):
+                    for j, g in enumerate(memo.hom(B, C, guard)):
                         pb = pullback_presheaf(f, g)
-                        sheaf_row("pullback-sheaf", inst, pb.presheaf)
-                        row("pullback-universal", inst,
-                            *pullback_universal_presheaf(pb, f, g))
+                        ok, witness = sheaf(pb.presheaf)
+                        row("pullback-sheaf", inst, ok, ((i, j), witness))
+                        ok, witness = pullback_universal_presheaf(pb, f, g)
+                        row("pullback-universal", inst, ok, ((i, j), witness))
 
     def first_failure(results) -> tuple[bool, object]:
         # (where, (ok, witness)) pairs; the first failure names its y(p)
@@ -623,7 +625,7 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
         for Y, y in named:
             inst = f"{y}^{x}"
             E = exponential(X, Y, guard)
-            sheaf_row("exponential-sheaf", inst, E.presheaf)
+            row("exponential-sheaf", inst, *sheaf(E.presheaf))
             nat_row("evaluation-natural", inst, evaluation(E))
             row("adjunction-bijection", inst, *first_failure(
                 (z, check_adjunction(E, Z, guard, memo=memo))
@@ -634,7 +636,7 @@ def check_topos_axioms(pool: list[Presheaf], J: Topology,
                 for Z, z in ys for Z2, z2 in ys))
 
     om = omega(H, J)
-    sheaf_row("omega-sheaf", "Omega", om.presheaf)
+    row("omega-sheaf", "Omega", *sheaf(om.presheaf))
     nat_row("truth-natural", "true", om.truth)
     for A, a in named:
         row("classifier-unique", a, *check_classifier(A, J, om, guard))

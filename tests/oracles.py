@@ -1,11 +1,15 @@
-"""Brute-force references for the sheaf condition.
+"""Brute-force references for the coverage and the sheaf condition.
 
-A matching family over a sieve is one section per member, compatible
-under restriction; these enumerate it from the definition, independently
-of the naturality backtracker in ``tsettopos.sheaves``.
+The covers of p are the sieves joining to p, independently of the
+closed form in ``tsettopos.sites``.  A matching family over a sieve is
+one section per member, compatible under restriction; these enumerate
+it from the definition, independently of the naturality backtracker in
+``tsettopos.sheaves``.
 """
 
 import itertools
+
+from tsettopos import all_sieves
 
 
 def matching_families(P, members):
@@ -27,3 +31,9 @@ def amalgamations(P, p, members, choice):
     return [x for x in range(P.n(p))
             if all(P.restrict(p, q, x) == c
                    for q, c in zip(sorted(members), choice))]
+
+
+def join_covers(H, p):
+    """The territory coverage read straight off the join condition: every
+    sieve at p whose join is p."""
+    return frozenset(S for S in all_sieves(H, p) if H.sigma(S) == p)

@@ -13,7 +13,6 @@ from tsettopos import (
     chain3,
     doubled_point_presheaf,
     diamond,
-    empty_presheaf,
     find_presheaf_iso,
     hom_presheaf,
     is_separated,
@@ -37,7 +36,7 @@ from tsettopos import (
     validate_presheaf,
     validate_tset,
 )
-from oracles import amalgamations, matching_families
+from oracles import amalgamations, join_covers, matching_families
 from strategies import algebras, tsets
 
 
@@ -76,7 +75,8 @@ def test_terminal_presheaf_is_sheaf(H):
 @given(algebras())
 def test_empty_presheaf_fails_at_bottom(H):
     # the empty sieve covers the bottom element, forcing one section there
-    P = empty_presheaf(H)
+    P = make_presheaf(H, [() for _ in H.elements()],
+                      {(p, q): () for q, p in H.covers()})
     J = territory_topology(H)
     assert not is_sheaf(P, J).ok
     assert is_separated(P, J).ok
@@ -299,7 +299,7 @@ def test_iso_enumeration_is_guarded():
 
 
 def _covering(J, p):
-    return sorted(J.covers[p], key=lambda s: (len(s), sorted(s)))
+    return sorted(join_covers(J.algebra, p), key=lambda s: (len(s), sorted(s)))
 
 
 def _all_covers_separated(P, J):

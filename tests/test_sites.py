@@ -6,17 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsettopos import (
-    Sieve,
+    PosetSpec,
     algebra_pool,
     all_sieves,
+    build_algebra,
     chain3,
+    chain_spec,
     closed_sieves,
     closure,
     diamond,
     doubled_point_presheaf,
-    is_closed,
-    maximal_sieve,
-    pullback_sieve,
     set_like_tset,
     singleton_completion,
     terminal_presheaf,
@@ -26,15 +25,8 @@ from tsettopos import (
     validate_topology,
 )
 from tsettopos.sheaves import natural_families
-from oracles import amalgamations, matching_families
+from oracles import amalgamations, join_covers, matching_families
 from strategies import algebra_elements, algebras
-
-
-def test_maximal_sieve_is_down_set():
-    H = chain3()
-    for p in H.elements():
-        s = maximal_sieve(H, p)
-        assert s.members == frozenset(H.down(p))
 
 
 def test_all_sieves_counts_chain3():
@@ -62,18 +54,6 @@ def test_sieves_downward_closed(hp):
                     assert t in s
 
 
-@given(algebra_elements(count=2))
-def test_pullback_sieve_restricts(hp):
-    H, p, r = hp
-    if not H.le(r, p):
-        return
-    for fs in all_sieves(H, p):
-        s = Sieve(H, p, fs)
-        back = pullback_sieve(s, r)
-        assert back.at == r
-        assert back.members == frozenset(q for q in fs if H.le(q, r))
-
-
 @given(algebras())
 def test_territory_topology_is_grothendieck(H):
     J = territory_topology(H)
@@ -96,16 +76,24 @@ def _basis_covers(H, p):
     )
 
 
+def _covers_from_least(J, p):
+    """The covers of p the least cover determines: {S : L(p) <= S}."""
+    return frozenset(S for S in all_sieves(J.algebra, p)
+                     if S.issuperset(J.least[p]))
+
+
 @given(algebras())
 def test_territory_matches_its_basis(H):
     J = territory_topology(H)
-    assert J.covers == tuple(_basis_covers(H, p) for p in H.elements())
+    for p in H.elements():
+        assert _covers_from_least(J, p) == _basis_covers(H, p)
 
 
 def test_territory_matches_its_basis_on_pool():
     for H in [H for _, H in algebra_pool(5)] + [diamond()]:
         J = territory_topology(H)
-        assert J.covers == tuple(_basis_covers(H, p) for p in H.elements())
+        for p in H.elements():
+            assert _covers_from_least(J, p) == _basis_covers(H, p)
 
 
 POOL = algebra_pool(6) + [("diamond", diamond())]
@@ -115,19 +103,48 @@ def test_least_cover_lies_in_every_cover():
     for _, H in POOL:
         J = territory_topology(H)
         for p in H.elements():
-            L = J.least(p)
-            assert L in J.covers[p]
-            assert all(L <= S for S in J.covers[p])
+            L = frozenset(J.least[p])
+            covers = join_covers(H, p)
+            assert J.least[p] == tuple(sorted(L))
+            assert L in covers
+            assert all(L <= S for S in covers)
             for S in all_sieves(H, p):
-                assert (S in J.covers[p]) == (L <= S)
+                assert (S in covers) == (L <= S)
 
 
-def _fixpoint_closure(s, J):
+def _product_spec(*lengths):
+    """The product of chains with the given numbers of elements."""
+    points = list(itertools.product(*(range(n) for n in lengths)))
+
+    def name(x):
+        return ".".join(map(str, x))
+
+    covers = tuple(
+        (name(x), name(x[:i] + (x[i] + 1,) + x[i + 1:]))
+        for x in points for i, n in enumerate(lengths) if x[i] + 1 < n)
+    return PosetSpec(tuple(map(name, points)), covers)
+
+
+def test_least_cover_closed_form_past_the_pool():
+    # 2^3, 2x4, 3x3 and chain 8: sizes 8 and 9, beyond algebra_pool(6)
+    specs = [_product_spec(2, 2, 2), _product_spec(2, 4),
+             _product_spec(3, 3), chain_spec(8)]
+    for spec in specs:
+        H = build_algebra(spec)
+        J = territory_topology(H)
+        for p in H.elements():
+            assert frozenset(J.least[p]) == frozenset.intersection(
+                *join_covers(H, p))
+        assert validate_topology(J).ok
+    assert [build_algebra(s).size for s in specs] == [8, 8, 9, 8]
+
+
+def _fixpoint_closure(H, p, S):
     """Adjoin every r whose pulled-back sieve covers it, until stable."""
-    H, members = s.algebra, set(s.members)
+    members = set(S)
     while True:
-        grown = members | {r for r in H.down(s.at) if frozenset(
-            m for m in members if H.le(m, r)) in J.covers[r]}
+        grown = members | {r for r in H.down(p) if frozenset(
+            m for m in members if H.le(m, r)) in join_covers(H, r)}
         if grown == members:
             return frozenset(members)
         members = grown
@@ -137,33 +154,35 @@ def test_closure_matches_fixpoint_reference():
     for _, H in POOL:
         J = territory_topology(H)
         for p in H.elements():
+            closed = set(closed_sieves(H, J, p))
             for fs in all_sieves(H, p):
-                s = Sieve(H, p, fs)
-                want = _fixpoint_closure(s, J)
-                assert closure(s, J).members == want
-                assert is_closed(s, J) == (want == fs)
+                want = _fixpoint_closure(H, p, fs)
+                assert closure(J, p, fs) == want
+                assert (fs in closed) == (want == fs)
 
 
 def test_empty_sieve_covers_bottom():
     H = chain3()
     J = territory_topology(H)
-    assert frozenset() in J.covers[H.bottom]
+    assert J.least[H.bottom] == ()
+    assert frozenset() in join_covers(H, H.bottom)
 
 
 @given(algebra_elements(count=1))
 def test_closure_is_a_closure_operator(hp):
     H, p = hp
     J = territory_topology(H)
-    sieves = [Sieve(H, p, fs) for fs in all_sieves(H, p)]
+    sieves = all_sieves(H, p)
+    closed = closed_sieves(H, J, p)
     for s in sieves:
-        c = closure(s, J)
-        assert s.members <= c.members
-        assert closure(c, J).members == c.members
-        assert is_closed(c, J)
+        c = closure(J, p, s)
+        assert s <= c
+        assert closure(J, p, c) == c
+        assert c in closed
     for s in sieves:
         for t in sieves:
-            if s.members <= t.members:
-                assert closure(s, J).members <= closure(t, J).members
+            if s <= t:
+                assert closure(J, p, s) <= closure(J, p, t)
 
 
 @given(algebra_elements(count=1))
@@ -185,30 +204,27 @@ def test_closed_sieve_counts_chain3():
 def test_empty_sieve_not_closed():
     H = chain3()
     J = territory_topology(H)
-    empty = Sieve(H, H.top, frozenset())
     # closure adds every q covered by the empty family, i.e. the bottom
-    assert closure(empty, J).members == frozenset([H.bottom])
-    assert not is_closed(empty, J)
+    assert closure(J, H.top, frozenset()) == frozenset([H.bottom])
+    assert frozenset() not in closed_sieves(H, J, H.top)
 
 
 def test_matching_families_amalgamate_uniquely_on_sheaf():
     H = chain3()
-    J = territory_topology(H)
     # set-like carrier misses intermediate degrees; complete it first
     P = tset_to_presheaf(singleton_completion(set_like_tset(H, 2)).tset)
     for p in H.elements():
-        for fs in J.covers[p]:
+        for fs in join_covers(H, p):
             for fam in matching_families(P, fs):
                 assert len(amalgamations(P, p, fs, fam)) == 1
 
 
 def test_matching_family_fails_on_non_sheaf():
     H = diamond()
-    J = territory_topology(H)
     P = doubled_point_presheaf(H)
     bad = []
     for p in H.elements():
-        for fs in J.covers[p]:
+        for fs in join_covers(H, p):
             for fam in matching_families(P, fs):
                 if len(amalgamations(P, p, fs, fam)) != 1:
                     bad.append((p, fam))
@@ -218,9 +234,8 @@ def test_matching_family_fails_on_non_sheaf():
 @given(algebra_elements(count=1), st.data())
 def test_matching_families_respect_compatibility(hp, data):
     H, p = hp
-    J = territory_topology(H)
     P = tset_to_presheaf(singleton_completion(set_like_tset(H, 2)).tset)
-    fs = data.draw(st.sampled_from(sorted(J.covers[p], key=sorted)))
+    fs = data.draw(st.sampled_from(sorted(join_covers(H, p), key=sorted)))
     members = sorted(fs)
     fams = matching_families(P, fs)
     for fam in fams:

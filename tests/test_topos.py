@@ -996,6 +996,23 @@ def test_hom_sets_enumerated_once_per_call(monkeypatch):
     assert first == second
 
 
+def test_pullback_failure_names_its_arrows(monkeypatch):
+    # plant a failure at the cospan of the 3rd arrow F(1,2,0) -> F(1,2,0)
+    # and the 2nd arrow F(1,1,0) -> F(1,2,0)
+    C, B = CH_POOL[3], CH_POOL[1]
+    f, g = hom_presheaf(C, C)[2], hom_presheaf(B, C)[1]
+    real = topos.pullback_universal_presheaf
+
+    def planted(pb, f2, g2):
+        return (False, "planted") if (f2, g2) == (f, g) else real(pb, f2, g2)
+
+    monkeypatch.setattr(topos, "pullback_universal_presheaf", planted)
+    rep = check_topos_axioms(CH_POOL, CH_J)
+    failed = [r for r in rep.rows if not r[2]]
+    assert failed == [("pullback-universal", "F(1,2,0)->F(1,2,0)<-F(1,1,0)",
+                       False, ((2, 1), "planted"))]
+
+
 def test_topos_axioms_smoke():
     rep = check_topos_axioms(CH_POOL[:2], CH_J)
     assert rep.ok
