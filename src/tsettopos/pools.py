@@ -2,89 +2,89 @@
 
 Everything here is exhaustive enumeration up to isomorphism with a
 canonical output order, so that two runs over the same bounds produce
-identical pools.  Every pool deduplicates by one search,
-``_least_relabelling``: the least encoding over the relabellings that
-permute only within blocks.  Posets (generated as upper-triangular
-relations) use one block, presheaves one block per level.  Identity
-tables are keyed by a partition-refined canonical form (McKay,
-*Practical Graph Isomorphism*, 1981): elements are first sorted by an
-isomorphism invariant, and the blocks are the runs of equal invariant.
+identical pools.  Two searches give the canonical keys.  Orders use
+``_order_key``, over linear extensions.  Identity tables and presheaves
+use ``_least_relabelling``, over the relabellings within blocks: one
+block per level of a presheaf, one per run of equal invariant of a
+table (McKay, *Practical Graph Isomorphism*, 1981).
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import CycleError, NoBound, NotDistributive
 from .heyting import HeytingAlgebra, PosetSpec, build_algebra
 from .sheaves import Presheaf, is_sheaf, make_presheaf, validate_presheaf
 from .sites import Topology
 from .tset import TSet, satisfies_postulate
 
-ALGEBRA_ERRORS = (CycleError, NoBound, NotDistributive)
-
 
 def _least_relabelling(blocks, encode):
     """The least ``encode(order)`` over the orders that list the blocks
-    one after another, each permuted only within itself.  With one
-    block this is the minimum over all relabellings."""
+    one after another, each permuted only within itself."""
     return min(
         encode([x for blk in choice for x in blk])
         for choice in itertools.product(*map(itertools.permutations, blocks))
     )
 
 
+def _order_key(le, order=()) -> tuple[bool, ...]:
+    """The least row-major encoding of the order ``le`` over the linear
+    extensions of ``order`` that list greater elements first; these are
+    mapped onto each other by isomorphisms, so the key is canonical."""
+    n = len(le)
+    if len(order) == n:
+        return tuple(le[i][j] for i in order for j in order)
+    return min(_order_key(le, order + (x,)) for x in range(n)
+               if x not in order and all(
+                   y in order for y in range(n) if y != x and le[x][y]))
+
+
+def _grown(points: int, limit: int):
+    """Every poset on up to ``points`` points with at most ``limit``
+    down-sets, as (below, downs): the masks under each point, and of the
+    down-sets.  Each new point is maximal over a down-set of the earlier
+    ones, and adds down-sets, so a branch stops past ``limit``."""
+    def rec(below, downs):
+        yield below, downs
+        for d in downs if len(below) < points else ():
+            more = downs + [u | 1 << len(below) for u in downs if u & d == d]
+            if len(more) <= limit:
+                yield from rec(below + [d], more)
+    return rec([], [0])
+
+
+def _specs(n: int, keys) -> list[PosetSpec]:
+    """One spec per order key on n points, in key order, with elements
+    x0..x{n-1} and the covers read off the key."""
+    orders = [[k[i * n:(i + 1) * n] for i in range(n)] for k in sorted(keys)]
+    return [PosetSpec(tuple(f"x{i}" for i in range(n)), tuple(
+        (f"x{i}", f"x{j}") for i in range(n) for j in range(n)
+        if i != j and le[i][j] and not any(
+            le[i][k] and le[k][j] for k in range(n) if k not in (i, j))))
+        for le in orders]
+
+
 def all_poset_specs(n: int) -> list[PosetSpec]:
     """All partial orders on n points, one spec per isomorphism class,
-    sorted by canonical relation key."""
-    if n <= 0:
-        return []
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    keys: set[tuple[bool, ...]] = set()
-    for bits in range(1 << len(pairs)):
-        le = [[i == j for j in range(n)] for i in range(n)]
-        for b, (i, j) in enumerate(pairs):
-            if bits >> b & 1:
-                le[i][j] = True
-        # every order on a finite set admits a monotone labelling, so
-        # upper-triangular candidates reach every isomorphism class
-        if any(
-            le[i][j] and le[j][k] and not le[i][k]
-            for i, j in pairs for k in range(j + 1, n)
-        ):
-            continue
-        keys.add(_least_relabelling(
-            [range(n)], lambda o: tuple(le[i][j] for i in o for j in o)))
-    out = []
-    for key in sorted(keys):
-        le = [[key[i * n + j] for j in range(n)] for i in range(n)]
-        covers = [
-            (f"x{i}", f"x{j}")
-            for i in range(n)
-            for j in range(n)
-            if i != j and le[i][j]
-            and not any(
-                k not in (i, j) and le[i][k] and le[k][j] for k in range(n)
-            )
-        ]
-        out.append(PosetSpec(tuple(f"x{i}" for i in range(n)), tuple(covers)))
-    return out
+    sorted by ``_order_key``."""
+    return _specs(n, {
+        _order_key([[i == j or bool(below[j] >> i & 1) for j in range(n)]
+                    for i in range(n)])
+        for below, _ in _grown(n, 1 << n) if len(below) == n}) if n > 0 else []
 
 
 def algebra_pool(max_size: int) -> list[tuple[str, HeytingAlgebra]]:
     """Every complete Heyting algebra with 2..max_size elements, one per
-    isomorphism class, labelled A<size>.<index>."""
-    out: list[tuple[str, HeytingAlgebra]] = []
-    for n in range(2, max_size + 1):
-        hit = 0
-        for spec in all_poset_specs(n):
-            try:
-                H = build_algebra(spec)
-            except ALGEBRA_ERRORS:
-                continue
-            out.append((f"A{n}.{hit}", H))
-            hit += 1
-    return out
+    isomorphism class, labelled A<size>.<index>: the down-set lattices,
+    ordered by inclusion, of the posets with 2..max_size down-sets
+    (Birkhoff 1937)."""
+    keys: dict[int, set] = {}
+    for _, downs in _grown(max_size, max_size):
+        le = [[u & v == u for v in downs] for u in downs]
+        keys.setdefault(len(downs), set()).add(_order_key(le))
+    return [(f"A{n}.{i}", build_algebra(spec)) for n in range(2, max_size + 1)
+            for i, spec in enumerate(_specs(n, keys.get(n, ())))]
 
 
 def _table_key(table) -> tuple:

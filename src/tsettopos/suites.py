@@ -80,9 +80,9 @@ class SuiteConfig:
             # bool is an int subclass; JSON true must not read as 1
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
-        # exhaustive pools: past size 6 the poset census is no longer desk scale
-        if not 2 <= self.max_algebra_size <= 6:
-            raise ValueError("max_algebra_size must be in 2..6")
+        # exhaustive pools: 9/3 takes ~10 s, most of it in the T-set census
+        if not 2 <= self.max_algebra_size <= 9:
+            raise ValueError("max_algebra_size must be in 2..9")
         if not 0 <= self.max_carrier_size <= 6:
             raise ValueError("max_carrier_size must be in 0..6")
         if self.enumeration_guard <= 0:

@@ -1,15 +1,96 @@
-"""Brute-force references for the coverage and the sheaf condition.
+"""Brute-force references for the censuses, the coverage and the sheaf
+condition.
 
-The covers of p are the sieves joining to p, independently of the
-closed form in ``tsettopos.sites``.  A matching family over a sieve is
-one section per member, compatible under restriction; these enumerate
-it from the definition, independently of the naturality backtracker in
+The poset census sweeps every upper-triangular relation and keys each
+by its least encoding over all n! relabellings, independently of the
+grown posets and linear-extension keys in ``tsettopos.pools``.  The
+covers of p are the sieves joining to p, independently of the closed
+form in ``tsettopos.sites``.  A matching family over a sieve is one
+section per member, compatible under restriction; these enumerate it
+from the definition, independently of the naturality backtracker in
 ``tsettopos.sheaves``.
 """
 
 import itertools
 
-from tsettopos import all_sieves
+from tsettopos import PosetSpec, all_sieves
+
+
+def poset_sweep(n, bounded=False):
+    """All partial orders on n points, one spec per isomorphism class,
+    sorted by their least relabelled relation, with elements x0..x{n-1}.
+
+    Every order admits a monotone labelling, so the upper-triangular
+    relations reach every class.  With ``bounded`` only orders with a
+    least and a greatest element are kept; a monotone labelling puts
+    them at 0 and n-1.
+    """
+    if n <= 0:
+        return []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = set()
+    for bits in range(1 << len(pairs)):
+        le = [[i == j for j in range(n)] for i in range(n)]
+        for b, (i, j) in enumerate(pairs):
+            if bits >> b & 1:
+                le[i][j] = True
+        if any(le[i][j] and le[j][k] and not le[i][k]
+               for i, j in pairs for k in range(j + 1, n)):
+            continue
+        if bounded and not (all(le[0]) and all(r[n - 1] for r in le)):
+            continue
+        keys.add(min(tuple(le[i][j] for i in o for j in o)
+                     for o in itertools.permutations(range(n))))
+    out = []
+    for key in sorted(keys):
+        le = [[key[i * n + j] for j in range(n)] for i in range(n)]
+        covers = [
+            (f"x{i}", f"x{j}")
+            for i in range(n) for j in range(n)
+            if i != j and le[i][j]
+            and not any(k not in (i, j) and le[i][k] and le[k][j]
+                        for k in range(n))
+        ]
+        out.append(PosetSpec(tuple(f"x{i}" for i in range(n)), tuple(covers)))
+    return out
+
+
+def chain_product_spec(*lengths):
+    """The product of chains with the given numbers of elements."""
+    points = list(itertools.product(*(range(n) for n in lengths)))
+
+    def name(x):
+        return ".".join(map(str, x))
+
+    covers = tuple(
+        (name(x), name(x[:i] + (x[i] + 1,) + x[i + 1:]))
+        for x in points for i, n in enumerate(lengths) if x[i] + 1 < n)
+    return PosetSpec(tuple(map(name, points)), covers)
+
+
+def order_isomorphism(H, K):
+    """A bijection of elements with H.le(a, b) == K.le(f[a], f[b]) for
+    all a, b, found by backtracking, or None."""
+    n = H.size
+    if K.size != n:
+        return None
+    image = []
+
+    def extend():
+        a = len(image)
+        if a == n:
+            return list(image)
+        for x in range(n):
+            if x not in image and all(
+                    H.le(a, b) == K.le(x, y) and H.le(b, a) == K.le(y, x)
+                    for b, y in enumerate(image)):
+                image.append(x)
+                found = extend()
+                if found is not None:
+                    return found
+                image.pop()
+        return None
+    return extend()
 
 
 def matching_families(P, members):

@@ -1,5 +1,6 @@
 """Exhaustive instance enumeration up to isomorphism."""
 
+import hashlib
 import itertools
 from functools import lru_cache
 
@@ -23,6 +24,8 @@ from tsettopos import (
     validate_presheaf,
     validate_tset,
 )
+from tsettopos.errors import CycleError, NoBound, NotDistributive
+from oracles import chain_product_spec, order_isomorphism, poset_sweep
 
 # unlabeled posets on n points, one spec per isomorphism class
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -34,6 +37,59 @@ def test_poset_census(n, count):
     assert len(specs) == count
     for spec in specs:
         assert len(spec.elements) == n
+    # grown posets keyed over linear extensions, against the sweep of
+    # upper-triangular relations keyed over all relabellings
+    assert specs == poset_sweep(n)
+
+
+def _sweep_algebra_pool(max_size):
+    out = []
+    for n in range(2, max_size + 1):
+        hit = 0
+        for spec in poset_sweep(n, bounded=True):
+            try:
+                H = build_algebra(spec)
+            except (CycleError, NoBound, NotDistributive):
+                continue
+            out.append((f"A{n}.{hit}", H))
+            hit += 1
+    return out
+
+
+def test_algebra_pool_matches_sweep():
+    # same labels, names, covers and every table
+    assert algebra_pool(6) == _sweep_algebra_pool(6)
+
+
+def test_order_key_matches_full_relabelling():
+    for _, H in algebra_pool(7):
+        n, le = H.size, H.le_table
+        assert pools._order_key(le) == min(
+            tuple(le[i][j] for i in o for j in o)
+            for o in itertools.permutations(range(n)))
+
+
+# distributive lattices on n elements (OEIS A006982)
+ALGEBRA_COUNTS = [1, 1, 2, 3, 5, 8, 15, 26]
+
+
+def test_algebra_census_to_nine():
+    pool = algebra_pool(9)
+    assert [sum(1 for _, H in pool if H.size == n)
+            for n in range(2, 10)] == ALGEBRA_COUNTS
+    # the labels of the sizes past the sweep oracle are frozen
+    past = [(lbl, [(H.names[a], H.names[b]) for a, b in H.covers()])
+            for lbl, H in pool if H.size >= 7]
+    assert hashlib.sha256(repr(past).encode()).hexdigest() == (
+        "332a73feff079a09c689c2e0546396560f97407731fdf62ebc9990112701acc9")
+
+
+def test_algebra_pool_holds_chain_products():
+    pool = algebra_pool(9)
+    for lengths in [(2, 2, 2), (2, 4), (3, 3), (8,)]:
+        K = build_algebra(chain_product_spec(*lengths))
+        assert sum(1 for _, H in pool
+                   if order_isomorphism(H, K) is not None) == 1
 
 
 def test_algebra_pool_census():

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tsettopos import (
-    PosetSpec,
     algebra_pool,
     all_sieves,
     build_algebra,
@@ -25,7 +24,8 @@ from tsettopos import (
     validate_topology,
 )
 from tsettopos.sheaves import natural_families
-from oracles import amalgamations, join_covers, matching_families
+from oracles import (amalgamations, chain_product_spec, join_covers,
+                     matching_families)
 from strategies import algebra_elements, algebras
 
 
@@ -112,23 +112,10 @@ def test_least_cover_lies_in_every_cover():
                 assert (S in covers) == (L <= S)
 
 
-def _product_spec(*lengths):
-    """The product of chains with the given numbers of elements."""
-    points = list(itertools.product(*(range(n) for n in lengths)))
-
-    def name(x):
-        return ".".join(map(str, x))
-
-    covers = tuple(
-        (name(x), name(x[:i] + (x[i] + 1,) + x[i + 1:]))
-        for x in points for i, n in enumerate(lengths) if x[i] + 1 < n)
-    return PosetSpec(tuple(map(name, points)), covers)
-
-
 def test_least_cover_closed_form_past_the_pool():
-    # 2^3, 2x4, 3x3 and chain 8: sizes 8 and 9, beyond algebra_pool(6)
-    specs = [_product_spec(2, 2, 2), _product_spec(2, 4),
-             _product_spec(3, 3), chain_spec(8)]
+    # 2^3, 2x4, 3x3 and chain 8: sizes 8 and 9, past POOL
+    specs = [chain_product_spec(2, 2, 2), chain_product_spec(2, 4),
+             chain_product_spec(3, 3), chain_spec(8)]
     for spec in specs:
         H = build_algebra(spec)
         J = territory_topology(H)

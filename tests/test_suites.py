@@ -29,8 +29,9 @@ def test_config_defaults_valid():
 def test_config_rejects_bad_bounds():
     with pytest.raises(ValueError):
         SuiteConfig(max_algebra_size=1)
+    assert SuiteConfig(max_algebra_size=9).max_algebra_size == 9
     with pytest.raises(ValueError):
-        SuiteConfig(max_algebra_size=7)
+        SuiteConfig(max_algebra_size=10)
     with pytest.raises(ValueError):
         SuiteConfig(max_carrier_size=-1)
     with pytest.raises(ValueError):
