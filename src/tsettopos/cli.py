@@ -12,6 +12,7 @@ fails, 2 for unreadable or ill-shaped input and usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -230,7 +231,9 @@ def _size(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every request."""
     parser = argparse.ArgumentParser(
         prog="tsettopos",
         description="workbench for T-sets, sheaves and their topos structure",

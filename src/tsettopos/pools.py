@@ -16,7 +16,7 @@ import itertools
 from .heyting import HeytingAlgebra, PosetSpec, build_algebra
 from .sheaves import Presheaf, is_sheaf, make_presheaf, validate_presheaf
 from .sites import Topology
-from .tset import TSet, satisfies_postulate
+from .tset import TSet, identity_interval, satisfies_postulate
 
 
 def _least_relabelling(blocks, encode):
@@ -116,6 +116,11 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
     """All T-sets over H with carrier size up to max_size, one per
     isomorphism class, by backtracking over identity tables.
 
+    Cells fill in lexicographic order.  Cell (x, y) is drawn from the
+    identity interval of the pairs (Id(z, x), Id(z, y)) for z < x, so
+    each transitivity instance is checked once, when its last cell is
+    filled.
+
     Existence degrees are generated in nondecreasing index order, which
     costs no classes; duplicates across the remaining relabellings are
     removed by the invariant-refined canonical key of ``_table_key``.
@@ -136,32 +141,18 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
                 for i in range(n)
             ]
 
-            def closed(x: int, y: int) -> bool:
-                # all transitivity instances whose three entries exist
-                # and that involve the fresh cell
-                for z in range(n):
-                    for a, b, c in ((x, y, z), (x, z, y), (z, x, y)):
-                        tab, tbc = table[a][b], table[b][c]
-                        tac = table[a][c]
-                        if tab is None or tbc is None or tac is None:
-                            continue
-                        if not H.le(H.meet(tab, tbc), tac):
-                            return False
-                return True
-
             def rec(k: int):
                 if k == len(cells):
                     found.append(tuple(tuple(r) for r in table))
                     return
                 x, y = cells[k]
-                cap = H.meet(diag[x], diag[y])
-                for v in H.down(cap):
+                for v in identity_interval(
+                        H, H.meet(diag[x], diag[y]),
+                        [(table[z][x], table[z][y]) for z in range(x)]):
                     if require_separated and v == diag[x] and v == diag[y]:
                         continue
                     table[x][y] = table[y][x] = v
-                    if closed(x, y):
-                        rec(k + 1)
-                table[x][y] = table[y][x] = None
+                    rec(k + 1)
 
             rec(0)
         for tab in sorted(found):

@@ -139,11 +139,27 @@ def is_atom(t: TSet, a: Iterable[int]) -> tuple[bool, tuple | None]:
     return True, None
 
 
+def identity_interval(H: HeytingAlgebra, cap: int,
+                      pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The v <= cap with a & b <= v, v & a <= b and v & b <= a for every
+    pair (a, b), ascending.  By the adjunction v & a <= b iff
+    v <= a -> b, these are the interval from the join of the a & b to
+    cap & the meet of the (a -> b) & (b -> a)."""
+    lo, hi = H.bottom, cap
+    for a, b in pairs:
+        lo = H.join(lo, H.meet(a, b))
+        hi = H.meet(hi, H.meet(H.implies(a, b), H.implies(b, a)))
+    return tuple(v for v in H.down(hi) if H.le(lo, v))
+
+
 def atoms(t: TSet, guard: int = DEFAULT_GUARD) -> list[tuple[int, ...]]:
     """All atom maps, enumerated by backtracking in lexicographic order.
 
-    The candidate space is |T| ** |A|; a SizeGuard fires if that exceeds
-    the guard even though the search itself prunes hard.
+    Position i ranges over the identity interval below Ee i of the pairs
+    (Id(i, j), a_j) for j < i: since Id is symmetric, these are the
+    values that meet both atom inequalities against every earlier
+    position.  The candidate space is |T| ** |A|; a SizeGuard fires if
+    that exceeds the guard even though the search itself prunes hard.
     """
     H = t.algebra
     n = t.size
@@ -152,28 +168,14 @@ def atoms(t: TSet, guard: int = DEFAULT_GUARD) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = []
     partial: list[int] = []
 
-    def admissible(i: int, v: int) -> bool:
-        if not H.le(v, t.ee(i)):          # A2 on the diagonal
-            return False
-        for j in range(i):
-            w = partial[j]
-            if not H.le(H.meet(v, t.ident(i, j)), w):
-                return False
-            if not H.le(H.meet(w, t.ident(j, i)), v):
-                return False
-            if not H.le(H.meet(v, w), t.ident(i, j)):
-                return False
-        return True
-
     def rec(i: int):
         if i == n:
             out.append(tuple(partial))
             return
-        for v in range(H.size):
-            if admissible(i, v):
-                partial.append(v)
-                rec(i + 1)
-                partial.pop()
+        for v in identity_interval(H, t.ee(i), zip(t.row(i), partial)):
+            partial.append(v)
+            rec(i + 1)
+            partial.pop()
 
     rec(0)
     return out

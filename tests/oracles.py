@@ -8,12 +8,15 @@ covers of p are the sieves joining to p, independently of the closed
 form in ``tsettopos.sites``.  A matching family over a sieve is one
 section per member, compatible under restriction; these enumerate it
 from the definition, independently of the naturality backtracker in
-``tsettopos.sheaves``.
+``tsettopos.sheaves``.  Atoms and identity tables are searched one
+candidate value at a time, each tested against every earlier entry,
+independently of the identity intervals in ``tsettopos.tset``.
 """
 
 import itertools
 
-from tsettopos import PosetSpec, all_sieves
+from tsettopos import PosetSpec, TSet, all_sieves
+from tsettopos.pools import _table_key
 
 
 def poset_sweep(n, bounded=False):
@@ -118,3 +121,80 @@ def join_covers(H, p):
     """The territory coverage read straight off the join condition: every
     sieve at p whose join is p."""
     return frozenset(S for S in all_sieves(H, p) if H.sigma(S) == p)
+
+
+def atoms_by_candidates(t):
+    """Every atom of t in lexicographic order: each value of each
+    position is tested against both atom inequalities, one earlier
+    position at a time."""
+    H = t.algebra
+    out, partial = [], []
+
+    def admissible(i, v):
+        return H.le(v, t.ee(i)) and all(
+            H.le(H.meet(v, t.ident(i, j)), w)
+            and H.le(H.meet(w, t.ident(j, i)), v)
+            and H.le(H.meet(v, w), t.ident(i, j))
+            for j, w in enumerate(partial))
+
+    def rec(i):
+        if i == t.size:
+            out.append(tuple(partial))
+            return
+        for v in H.elements():
+            if admissible(i, v):
+                partial.append(v)
+                rec(i + 1)
+                partial.pop()
+
+    rec(0)
+    return out
+
+
+def tset_pool_by_candidates(H, max_size, *, require_separated=True,
+                            require_postulate=True, include_empty=False):
+    """``tset_pool`` with each cell drawn from the down-set of its cap and
+    tested against every transitivity instance it completes, and the
+    postulate decided by ``atoms_by_candidates``."""
+    out = []
+    for n in range(0 if include_empty else 1, max_size + 1):
+        found, seen = [], set()
+        for diag in itertools.combinations_with_replacement(H.elements(), n):
+            cells = list(itertools.combinations(range(n), 2))
+            table = [[diag[i] if i == j else None for j in range(n)]
+                     for i in range(n)]
+
+            def closed(x, y):
+                for z in range(n):
+                    for a, b, c in ((x, y, z), (x, z, y), (z, x, y)):
+                        tab, tbc, tac = table[a][b], table[b][c], table[a][c]
+                        if None not in (tab, tbc, tac) and \
+                                not H.le(H.meet(tab, tbc), tac):
+                            return False
+                return True
+
+            def rec(k):
+                if k == len(cells):
+                    found.append(tuple(tuple(r) for r in table))
+                    return
+                x, y = cells[k]
+                for v in H.down(H.meet(diag[x], diag[y])):
+                    if require_separated and v == diag[x] == diag[y]:
+                        continue
+                    table[x][y] = table[y][x] = v
+                    if closed(x, y):
+                        rec(k + 1)
+                table[x][y] = table[y][x] = None
+
+            rec(0)
+        for tab in sorted(found):
+            key = _table_key(tab)
+            if key in seen:
+                continue
+            seen.add(key)
+            t = TSet(H, tuple(f"a{i}" for i in range(n)), tab)
+            if require_postulate and not set(
+                    atoms_by_candidates(t)) <= set(t.id_table):
+                continue
+            out.append(t)
+    return out

@@ -146,6 +146,23 @@ def test_omega_unknown_element(files):
     assert run_command(["omega", str(files["chain3"]), "-p", "zz"]) == 2
 
 
+def test_reused_parser_leaks_no_state(files, capsys):
+    # one parser serves every request of a process
+    from tsettopos.cli import _parser
+    assert _parser() is _parser()
+    assert run_command(["omega", str(files["chain3"]), "-p", "p"]) == 0
+    capsys.readouterr()
+    assert run_command(["omega", str(files["chain3"])]) == 0
+    out = capsys.readouterr().out
+    assert [l.split()[2] for l in out.splitlines()
+            if "omega-sections" in l] == ["mu", "p", "M"]
+    assert run_command(["omega", str(files["chain3"]),
+                        "--format", "yaml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: tsettopos omega")
+
+
 def test_duplicate_name_algebra_exits_2(tmp_path, capsys):
     path = tmp_path / "dup.json"
     path.write_text(json.dumps({"elements": ["mu", "mu"],

@@ -11,8 +11,10 @@ from tsettopos import (
     PosetSpec,
     algebra_pool,
     all_poset_specs,
+    atoms,
     build_algebra,
     chain3,
+    diamond,
     find_presheaf_iso,
     is_sheaf,
     satisfies_postulate,
@@ -25,7 +27,13 @@ from tsettopos import (
     validate_tset,
 )
 from tsettopos.errors import CycleError, NoBound, NotDistributive
-from oracles import chain_product_spec, order_isomorphism, poset_sweep
+from oracles import (
+    atoms_by_candidates,
+    chain_product_spec,
+    order_isomorphism,
+    poset_sweep,
+    tset_pool_by_candidates,
+)
 
 # unlabeled posets on n points, one spec per isomorphism class
 POSET_COUNTS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -183,6 +191,21 @@ def test_tset_pool_matches_full_relabelling_dedup(monkeypatch, max_size,
             m.setattr(pools, "_table_key", _least_relabelled_table)
             want = [t.id_table for t in tset_pool(H, max_size, **flags)]
         assert got == want
+
+
+@pytest.mark.parametrize("flags", [
+    {},
+    {"require_separated": False, "require_postulate": False,
+     "include_empty": True},
+])
+def test_identity_intervals_match_candidate_search(flags):
+    # the two flag sets of the suite pools
+    for H in [H for _, H in algebra_pool(6)] + [diamond()]:
+        pool = tset_pool(H, 3, **flags)
+        assert [t.id_table for t in pool] == [
+            t.id_table for t in tset_pool_by_candidates(H, 3, **flags)]
+        for t in pool:
+            assert atoms(t) == atoms_by_candidates(t)
 
 
 def test_sheaf_pool_chain3_shapes_frozen():

@@ -93,6 +93,14 @@ def test_topos_axioms_ladder_cell_report_frozen():
         "75492ee0c04b2e55a3f30bd6ba3b2840ff0dd814d241d9b5b263dce4cd52b4f6")
 
 
+def test_six_three_census_report_frozen():
+    # carrier pools over every algebra up to size 6, every check
+    rep = run_suite(SuiteConfig(max_algebra_size=6, max_carrier_size=3))
+    assert len(rep.results) == 460
+    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+        "c7e22590d58fcd024e98482d58b82895da18613d7e7403b10b0d46185e628541")
+
+
 def test_traced_layer_names_resolve():
     # the benchmark's --trace 1 wraps these names in their home modules
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"

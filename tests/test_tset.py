@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from tsettopos import (
     extensionally_isomorphic,
     family_envelope,
     hom_set,
+    identity_interval,
     identity_relation,
     is_atom,
     localise_atom,
@@ -174,6 +176,19 @@ def test_pool_atoms_are_real(t):
     for a in atoms(t):
         assert real_witnesses(t, a)
     assert satisfies_postulate(t).ok
+
+
+def test_identity_interval_is_the_brute_force_filter():
+    rng = random.Random(19)
+    for _, H in algebra_pool(6):
+        for cap in H.elements():
+            for _ in range(10):
+                pairs = [(rng.randrange(H.size), rng.randrange(H.size))
+                         for _ in range(rng.randrange(4))]
+                assert identity_interval(H, cap, pairs) == tuple(
+                    v for v in H.elements() if H.le(v, cap) and all(
+                        H.le(H.meet(a, b), v) and H.le(H.meet(v, a), b)
+                        and H.le(H.meet(v, b), a) for a, b in pairs))
 
 
 def test_row_is_an_atom():
