@@ -16,7 +16,7 @@ import itertools
 from .heyting import HeytingAlgebra, PosetSpec, build_algebra
 from .sheaves import Presheaf, is_sheaf, make_presheaf, validate_presheaf
 from .sites import Topology
-from .tset import TSet, identity_interval, satisfies_postulate
+from .tset import TSet, identity_interval
 
 
 def _least_relabelling(blocks, encode):
@@ -121,13 +121,24 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
     each transitivity instance is checked once, when its last cell is
     filled.
 
+    The postulate is decided during the fill.  Every atom a of the
+    leading m-block extends to an atom of the whole table, by
+    a_j = join over i < m of a_i & Id(i, j), and every row is an atom.
+    So the postulate holds exactly when, at each level m, every atom of
+    the m-block is the m-prefix of a row.  Once the (m-1)-block passes,
+    its atoms are the (m-1)-prefixes r of rows, and the m-block's are
+    the r + (v,) with v in the identity interval below Ee(m-1) of the
+    pairs (Id(m-1, j), r_j).  Level m is checked on reaching cell
+    (m, m+1), when columns 0..m-1 are known, and levels n-1 and n at
+    the leaf.  The empty carrier fails: its empty atom has no witness.
+
     Existence degrees are generated in nondecreasing index order, which
     costs no classes; duplicates across the remaining relabellings are
     removed by the invariant-refined canonical key of ``_table_key``.
     Each class is represented by its least table in sorted order.
     """
     out: list[TSet] = []
-    lo = 0 if include_empty else 1
+    lo = 0 if include_empty and not require_postulate else 1
     for n in range(lo, max_size + 1):
         found: list[tuple[tuple[int, ...], ...]] = []
         seen: set[tuple] = set()
@@ -141,11 +152,22 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
                 for i in range(n)
             ]
 
+            def real(m: int) -> bool:
+                rows = {tuple(r[:m]) for r in table}
+                return all(r + (v,) in rows
+                           for r in {tuple(r[:m - 1]) for r in table}
+                           for v in identity_interval(
+                               H, diag[m - 1], zip(table[m - 1], r)))
+
             def rec(k: int):
                 if k == len(cells):
-                    found.append(tuple(tuple(r) for r in table))
+                    if not require_postulate or all(
+                            real(m) for m in range(max(n - 1, 1), n + 1)):
+                        found.append(tuple(tuple(r) for r in table))
                     return
                 x, y = cells[k]
+                if require_postulate and x and y == x + 1 and not real(x):
+                    return
                 for v in identity_interval(
                         H, H.meet(diag[x], diag[y]),
                         [(table[z][x], table[z][y]) for z in range(x)]):
@@ -160,10 +182,7 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
             if key in seen:
                 continue
             seen.add(key)
-            t = TSet(H, tuple(f"a{i}" for i in range(n)), tab)
-            if require_postulate and not satisfies_postulate(t).ok:
-                continue
-            out.append(t)
+            out.append(TSet(H, tuple(f"a{i}" for i in range(n)), tab))
     return out
 
 

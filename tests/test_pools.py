@@ -208,6 +208,16 @@ def test_identity_intervals_match_candidate_search(flags):
             assert atoms(t) == atoms_by_candidates(t)
 
 
+@pytest.mark.parametrize("max_algebra,carrier", [(4, 5), (7, 3)])
+def test_postulate_during_fill_matches_table_filter(max_algebra, carrier):
+    # deciding the postulate inside the search keeps exactly the tables
+    # that filtering the whole pool by satisfies_postulate keeps
+    for _, H in algebra_pool(max_algebra):
+        assert [t.id_table for t in tset_pool(H, carrier)] == [
+            t.id_table for t in tset_pool(H, carrier, require_postulate=False)
+            if satisfies_postulate(t).ok]
+
+
 def test_sheaf_pool_chain3_shapes_frozen():
     H = chain3()
     pool = sheaf_pool(H, territory_topology(H), 3)

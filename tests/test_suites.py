@@ -101,6 +101,14 @@ def test_six_three_census_report_frozen():
         "c7e22590d58fcd024e98482d58b82895da18613d7e7403b10b0d46185e628541")
 
 
+def test_nine_three_census_report_frozen():
+    # carrier pools over every algebra up to the cap, every check
+    rep = run_suite(SuiteConfig(max_algebra_size=9, max_carrier_size=3))
+    assert len(rep.results) == 1193
+    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+        "8576f3ffb704fa79d0a70a2d40aafd72a0a8f50ef1fd74df887eda5b6650e05e")
+
+
 def test_traced_layer_names_resolve():
     # the benchmark's --trace 1 wraps these names in their home modules
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"

@@ -199,6 +199,24 @@ def test_row_is_an_atom():
         assert x in real_witnesses(t, t.row(x))
 
 
+@pytest.mark.parametrize("flags", [
+    {},
+    {"require_separated": False, "require_postulate": False,
+     "include_empty": True},
+])
+def test_block_atoms_are_atom_prefixes(flags):
+    # every atom of a leading block extends to an atom of the whole
+    # table, which is the lemma that lets tset_pool decide the postulate
+    # level by level; the two flag sets of the suite pools
+    for H in [H for _, H in algebra_pool(5)] + [diamond()]:
+        for t in tset_pool(H, 3, **flags):
+            full = atoms(t)
+            for m in range(t.size + 1):
+                block = make_tset(H, t.elements[:m],
+                                  [r[:m] for r in t.id_table[:m]])
+                assert {a[:m] for a in full} == set(atoms(block)), (t, m)
+
+
 def test_localise_atom_of_real_atom():
     t = set_like_tset(two_element(), 2)
     H = t.algebra
