@@ -153,9 +153,9 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
             ]
 
             def real(m: int) -> bool:
-                rows = {tuple(r[:m]) for r in table}
-                return all(r + (v,) in rows
-                           for r in {tuple(r[:m - 1]) for r in table}
+                prefixes = {tuple(row[:m]) for row in table}
+                return all(r + (v,) in prefixes
+                           for r in {tuple(row[:m - 1]) for row in table}
                            for v in identity_interval(
                                H, diag[m - 1], zip(table[m - 1], r)))
 
