@@ -63,14 +63,6 @@ class PostulateRequired(WorkbenchError):
         super().__init__(f"no real witness available: {detail}")
 
 
-class NotCompatible(WorkbenchError):
-    """A family passed where pairwise compatibility is required."""
-
-    def __init__(self, pair):
-        self.pair = pair
-        super().__init__(f"elements {pair!r} are not compatible")
-
-
 class NotASheaf(WorkbenchError):
     """A presheaf failed the unique-amalgamation condition."""
 

@@ -226,22 +226,6 @@ def read_doc(path: Path) -> dict:
     return doc
 
 
-def load_structure(path: str | Path) -> tuple[str, object]:
-    """Read a JSON file and return (kind, structure); the kind is
-    detected from the key set."""
-    path = Path(path)
-    doc = read_doc(path)
-    kind = detect_kind(doc)
-    base = path.parent
-    if kind == "algebra":
-        return kind, algebra_from_dict(doc)
-    if kind == "tset":
-        return kind, tset_from_dict(doc, base)
-    if kind == "relation":
-        return kind, relation_from_dict(doc, base)
-    return kind, presheaf_from_dict(doc, base)
-
-
 def structure_to_dict(obj: object) -> dict:
     if isinstance(obj, HeytingAlgebra):
         return algebra_to_dict(obj)

@@ -248,7 +248,3 @@ def pentagon_spec() -> PosetSpec:
 # name -> constructor, so that listing the names builds no algebra
 NAMED_ALGEBRAS = {"two_element": two_element, "chain3": chain3,
                   "diamond": diamond}
-
-
-def named_algebras() -> dict[str, HeytingAlgebra]:
-    return {name: make() for name, make in NAMED_ALGEBRAS.items()}

@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 from .heyting import HeytingAlgebra
-from .tset import ValidationReport
 
 
 def all_sieves(H: HeytingAlgebra, p: int) -> list[frozenset[int]]:
@@ -39,40 +38,6 @@ class Topology:
     exactly when L(p) <= S."""
     algebra: HeytingAlgebra
     least: tuple[tuple[int, ...], ...]
-
-
-def validate_topology(J: Topology) -> ValidationReport:
-    """Maximality, stability under pullback, and transitivity of the
-    covers {S : L(p) <= S} derived from the least covers.
-
-    Transitivity is the non-vacuous form: a sieve R at p belongs to J(p)
-    whenever some cover S of p has every pullback of R along members of
-    S covering.
-    """
-    H = J.algebra
-    covers = [frozenset(S for S in all_sieves(H, p)
-                        if S.issuperset(J.least[p]))
-              for p in H.elements()]
-    bad: list[tuple[str, tuple]] = []
-    for p in H.elements():
-        covering = sorted(covers[p], key=lambda s: (len(s), sorted(s)))
-        if frozenset(H.down(p)) not in covers[p]:
-            bad.append(("maximality", (H.name(p),)))
-        for S in covering:
-            for r in H.down(p):
-                pulled = frozenset(m for m in S if H.le(m, r))
-                if pulled not in covers[r]:
-                    bad.append(("stability", (H.name(p), H.name(r))))
-        for S in covering:
-            for R in all_sieves(H, p):
-                if R in covers[p]:
-                    continue
-                if all(
-                    frozenset(m for m in R if H.le(m, q)) in covers[q]
-                    for q in S
-                ):
-                    bad.append(("transitivity", (H.name(p), tuple(sorted(R)))))
-    return ValidationReport(not bad, tuple(bad))
 
 
 def territory_topology(H: HeytingAlgebra) -> Topology:

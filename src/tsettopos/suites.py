@@ -368,11 +368,10 @@ def render(results, fmt: str, config: dict) -> str:
             rows.append(row)
         doc = {"version": VERSION, "config": config, "results": rows}
         return json.dumps(doc, indent=2) + "\n"
-    lines = [
-        f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.check} {r.instance}"
+    return "".join(
+        f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.check} {r.instance}\n"
         for r in results
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def report_json(rep: SuiteReport) -> str:

@@ -1,13 +1,15 @@
 """Category structure on T-sets and their sheaves.
 
-Finite limits, exponentials, and the subobject classifier, each paired
-with a universal-property verifier: existence plus uniqueness of the
-mediating arrow.  On T-sets the mediators are enumerated from listed
-cone vertices.  On presheaves universality is decided against the
-representables y(p) = down(p), and so against every presheaf: limits
-are computed sectionwise and hom(y(p), F) = F(p) (Yoneda), so the limit
-verifiers compare sections level by level, and the exponential is
-stated through ev, so that its verifiers never trust `transpose`.  Also
+Finite limits and graphs on T-sets, and finite limits, exponentials
+and the subobject classifier on presheaves.  Each presheaf structure
+is paired with a universal-property verifier: existence plus
+uniqueness of the mediating arrow, decided against the representables
+y(p) = down(p), and so against every presheaf: limits are computed
+sectionwise and hom(y(p), F) = F(p) (Yoneda), so the limit verifiers
+compare sections level by level, and the exponential is stated
+through ev, so that its verifiers never trust `transpose`.  The T-set
+limits are checked against them by a test oracle that enumerates the
+mediators from listed cone vertices.  Also
 the published refutation machinery: the commutativity-only mediation
 count on a triple product, against the unique mediation into a graph,
 and the probe-separation check tying the reality of atoms to arrows out
@@ -75,18 +77,6 @@ def mediators(W: TSet, target: TSet,
         for w in range(W.size)
     ]
     return hom_set(W, target, guard, images)
-
-
-def _extensional_classes(hs: list[TRelation]) -> list[list[TRelation]]:
-    classes: list[list[TRelation]] = []
-    for h in hs:
-        for c in classes:
-            if extensionally_equal(h, c[0]):
-                c.append(h)
-                break
-        else:
-            classes.append([h])
-    return classes
 
 
 @dataclass(frozen=True)
@@ -176,52 +166,6 @@ def product(A: TSet, B: TSet, guard: int = DEFAULT_GUARD) -> PullbackResult:
     one = terminal(A.algebra)
     return pullback(unique_to_terminal(A, one), unique_to_terminal(B, one),
                     guard)
-
-
-def check_pullback_universal(pb: PullbackResult,
-                             f: TRelation, g: TRelation, cones: list[TSet],
-                             guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    """Every commuting cone (u, v) from every listed vertex mediates
-    through the pullback by exactly one relation, and that relation is
-    the pairing w -> (u w, v w) of the pullback's carrier pairs.
-
-    Commutation, uniqueness and the pairing are read extensionally:
-    two element maps whose images are indiscernible present the same
-    relation, and the pair carrier is not separated in general."""
-    A, B = f.source, g.source
-    index = {pair: k for k, pair in enumerate(pb.pairs)}
-    for W in cones:
-        homs = hom_set(W, pb.tset, guard)
-        homs_u = hom_set(W, A, guard)
-        homs_v = hom_set(W, B, guard) if homs_u else []
-        for u in homs_u:
-            for v in homs_v:
-                if not extensionally_equal(f.compose(u), g.compose(v)):
-                    continue
-                hits = [
-                    h for h in homs
-                    if extensionally_equal(pb.proj1.compose(h), u)
-                    and extensionally_equal(pb.proj2.compose(h), v)
-                ]
-                classes = _extensional_classes(hits)
-                if len(classes) != 1:
-                    return False, (repr(W), u.mapping, v.mapping, len(classes))
-                pairing = tuple(index.get(pair)
-                                for pair in zip(u.mapping, v.mapping))
-                if None in pairing or not extensionally_equal(
-                        classes[0][0], TRelation(W, pb.tset, pairing)):
-                    return False, (repr(W), u.mapping, v.mapping, "mediator")
-    return True, None
-
-
-def check_product_universal(prod: PullbackResult, cones: list[TSet],
-                            guard: int = DEFAULT_GUARD) -> tuple[bool, tuple | None]:
-    """The product verified as the pullback over the terminal T-set."""
-    A, B = prod.proj1.target, prod.proj2.target
-    one = terminal(A.algebra)
-    return check_pullback_universal(
-        prod, unique_to_terminal(A, one), unique_to_terminal(B, one),
-        cones, guard)
 
 
 # ----------------------------------------------- presheaf-level structure
@@ -424,7 +368,12 @@ def check_adjunction_natural(E: ExponentialResult, Z2: Presheaf, Z: Presheaf,
                              guard: int = DEFAULT_GUARD,
                              memo: Memo | None = None) -> tuple[bool, tuple | None]:
     """ev . ((h . r) x id) = (ev . (h x id)) . (r x id) for every
-    r: Z2 -> Z and h: Z -> Y^X, composed on component tuples."""
+    r: Z2 -> Z and h: Z -> Y^X, composed on component tuples.
+
+    This holds for every exponential E, right or wrong: since
+    (h . r) x id = (h x id) . (r x id), both sides are
+    ev . (h x id) . (r x id).  It decides nothing that
+    `check_adjunction` does not."""
     memo = memo or Memo()
     H = E.base.algebra
     width = [E.base.n(p) for p in H.elements()]
@@ -706,7 +655,6 @@ def exposition_counterexample(H: HeytingAlgebra | None = None,
 @dataclass(frozen=True)
 class SgReport:
     ok: bool
-    pairs_checked: int
     witness: tuple | None
 
 
@@ -729,11 +677,10 @@ def sg_check(pool: list[TSet], guard: int = DEFAULT_GUARD) -> SgReport:
     block is a singleton.  Probe hom-sets are computed lazily, for the
     levels some pair still needs, exactly as a pairwise search would.
     A pair left in one block is unseparated; the first such pair in
-    (f, g) order is the witness, and ``pairs_checked`` counts the pairs
-    a pairwise search visits up to it.
+    (f, g) order is the witness.
     """
     if not pool:
-        return SgReport(True, 0, None)
+        return SgReport(True, None)
     H = pool[0].algebra
     probes: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -746,7 +693,6 @@ def sg_check(pool: list[TSet], guard: int = DEFAULT_GUARD) -> SgReport:
             )
         return probes[(s, k)]
 
-    checked = 0
     for ka, A in enumerate(pool):
         for B in pool:
             homs = hom_set(A, B, guard)
@@ -774,14 +720,11 @@ def sg_check(pool: list[TSet], guard: int = DEFAULT_GUARD) -> SgReport:
                 blocks = split
             if blocks:
                 fi, gi = min((b[0], b[1]) for b in blocks)
-                # pairs (f, g) with f < fi, then (fi, fi + 1) .. (fi, gi)
-                checked += fi * (m - 1) - fi * (fi - 1) // 2 + gi - fi
                 return SgReport(
-                    False, checked,
+                    False,
                     (repr(A), repr(B), homs[fi].mapping, homs[gi].mapping),
                 )
-            checked += m * (m - 1) // 2
-    return SgReport(True, checked, None)
+    return SgReport(True, None)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    NotAtom,
-    NotCompatible,
-    PostulateRequired,
-    SizeGuard,
-)
+from .errors import NotAtom, PostulateRequired, SizeGuard
 from .heyting import HeytingAlgebra
 
 DEFAULT_GUARD = 10 ** 6
@@ -208,14 +203,9 @@ def satisfies_postulate(t: TSet, guard: int = DEFAULT_GUARD) -> PostulateReport:
     return PostulateReport(not unreal, unreal, len(all_atoms))
 
 
-def localise_atom(t: TSet, a: Iterable[int], p: int) -> tuple[int, ...]:
-    H = t.algebra
-    return tuple(H.meet(v, p) for v in a)
-
-
 def localise_element(t: TSet, x: int, p: int) -> int:
     """Lowest-index carrier element whose row is Id(x, .) meet p."""
-    target = localise_atom(t, t.row(x), p)
+    target = tuple(t.algebra.meet(v, p) for v in t.row(x))
     for w in range(t.size):
         if t.row(w) == target:
             return w
@@ -247,29 +237,6 @@ def compatible(t: TSet, x: int, y: int) -> bool:
         H.meet(t.ident(x, z), ey) == H.meet(t.ident(y, z), ex)
         for z in range(t.size)
     )
-
-
-def family_envelope(t: TSet, members: Iterable[int]) -> tuple[tuple[int, ...], int]:
-    """Join a pairwise-compatible family into one atom and pick its witness.
-
-    Returns (envelope atom, witness element).  NotCompatible names the
-    first offending pair; PostulateRequired fires when the envelope atom
-    has no carrier witness.
-    """
-    H = t.algebra
-    B = sorted(set(members))
-    for i, b in enumerate(B):
-        for c in B[i + 1:]:
-            if not compatible(t, b, c):
-                raise NotCompatible((t.name(b), t.name(c)))
-    pi = tuple(H.sigma([t.ident(b, z) for b in B]) for z in range(t.size))
-    ok, witness = is_atom(t, pi)
-    if not ok:
-        raise NotAtom(witness)
-    found = [x for x in range(t.size) if t.row(x) == pi]
-    if not found:
-        raise PostulateRequired("family envelope has no carrier witness")
-    return pi, found[0]
 
 
 @dataclass(frozen=True)
@@ -469,21 +436,3 @@ def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,
     rec(0)
     return out
 
-
-def extensionally_isomorphic(A: TSet, B: TSet,
-                             guard: int = DEFAULT_GUARD
-                             ) -> tuple[TRelation, TRelation] | None:
-    """A pair of relations composing to the identity up to
-    indiscernibility, or None.  Carrier sizes may differ: indiscernible
-    duplicates do not obstruct this notion, so it is the right one for
-    comparing constructed limits."""
-    id_a = identity_relation(A)
-    id_b = identity_relation(B)
-    forth = hom_set(A, B, guard)
-    back = hom_set(B, A, guard) if forth else []
-    for f in forth:
-        for g in back:
-            if extensionally_equal(g.compose(f), id_a) and \
-                    extensionally_equal(f.compose(g), id_b):
-                return f, g
-    return None

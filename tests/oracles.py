@@ -1,5 +1,5 @@
-"""Brute-force references for the censuses, the coverage and the sheaf
-condition.
+"""Brute-force references for the censuses, the coverage, the sheaf
+condition and the T-set limits.
 
 The poset census sweeps every upper-triangular relation and keys each
 by its least encoding over all n! relabellings, independently of the
@@ -11,12 +11,27 @@ from the definition, independently of the naturality backtracker in
 ``tsettopos.sheaves``.  Atoms and identity tables are searched one
 candidate value at a time, each tested against every earlier entry,
 independently of the identity intervals in ``tsettopos.tset``.
+
+The Grothendieck axioms are checked on the covers derived from a
+topology's least covers.  T-set limits are verified by enumerating the
+mediators from listed cone vertices, the T-set side of the cross-checks
+against the sectionwise presheaf verifiers, and T-sets are compared up
+to extensional isomorphism.
 """
 
 import itertools
 
-from tsettopos import PosetSpec, TSet, all_sieves
+from tsettopos import (
+    PosetSpec,
+    TRelation,
+    TSet,
+    all_sieves,
+    extensionally_equal,
+    hom_set,
+    identity_relation,
+)
 from tsettopos.pools import _table_key
+from tsettopos.tset import ValidationReport
 
 
 def poset_sweep(n, bounded=False):
@@ -123,6 +138,40 @@ def join_covers(H, p):
     return frozenset(S for S in all_sieves(H, p) if H.sigma(S) == p)
 
 
+def validate_topology(J):
+    """Maximality, stability under pullback, and transitivity of the
+    covers {S : L(p) <= S} derived from the least covers.
+
+    Transitivity is the non-vacuous form: a sieve R at p belongs to J(p)
+    whenever some cover S of p has every pullback of R along members of
+    S covering.
+    """
+    H = J.algebra
+    covers = [frozenset(S for S in all_sieves(H, p)
+                        if S.issuperset(J.least[p]))
+              for p in H.elements()]
+    bad = []
+    for p in H.elements():
+        covering = sorted(covers[p], key=lambda s: (len(s), sorted(s)))
+        if frozenset(H.down(p)) not in covers[p]:
+            bad.append(("maximality", (H.name(p),)))
+        for S in covering:
+            for r in H.down(p):
+                pulled = frozenset(m for m in S if H.le(m, r))
+                if pulled not in covers[r]:
+                    bad.append(("stability", (H.name(p), H.name(r))))
+        for S in covering:
+            for R in all_sieves(H, p):
+                if R in covers[p]:
+                    continue
+                if all(
+                    frozenset(m for m in R if H.le(m, q)) in covers[q]
+                    for q in S
+                ):
+                    bad.append(("transitivity", (H.name(p), tuple(sorted(R)))))
+    return ValidationReport(not bad, tuple(bad))
+
+
 def atoms_by_candidates(t):
     """Every atom of t in lexicographic order: each value of each
     position is tested against both atom inequalities, one earlier
@@ -198,3 +247,66 @@ def tset_pool_by_candidates(H, max_size, *, require_separated=True,
                 continue
             out.append(t)
     return out
+
+
+def _extensional_classes(hs):
+    classes = []
+    for h in hs:
+        for c in classes:
+            if extensionally_equal(h, c[0]):
+                c.append(h)
+                break
+        else:
+            classes.append([h])
+    return classes
+
+
+def check_pullback_universal(pb, f, g, cones):
+    """Every commuting cone (u, v) from every listed vertex mediates
+    through the pullback by exactly one relation, and that relation is
+    the pairing w -> (u w, v w) of the pullback's carrier pairs.
+
+    Commutation, uniqueness and the pairing are read extensionally:
+    two element maps whose images are indiscernible present the same
+    relation, and the pair carrier is not separated in general."""
+    A, B = f.source, g.source
+    index = {pair: k for k, pair in enumerate(pb.pairs)}
+    for W in cones:
+        homs = hom_set(W, pb.tset)
+        homs_u = hom_set(W, A)
+        homs_v = hom_set(W, B) if homs_u else []
+        for u in homs_u:
+            for v in homs_v:
+                if not extensionally_equal(f.compose(u), g.compose(v)):
+                    continue
+                hits = [
+                    h for h in homs
+                    if extensionally_equal(pb.proj1.compose(h), u)
+                    and extensionally_equal(pb.proj2.compose(h), v)
+                ]
+                classes = _extensional_classes(hits)
+                if len(classes) != 1:
+                    return False, (repr(W), u.mapping, v.mapping, len(classes))
+                pairing = tuple(index.get(pair)
+                                for pair in zip(u.mapping, v.mapping))
+                if None in pairing or not extensionally_equal(
+                        classes[0][0], TRelation(W, pb.tset, pairing)):
+                    return False, (repr(W), u.mapping, v.mapping, "mediator")
+    return True, None
+
+
+def extensionally_isomorphic(A, B):
+    """A pair of relations composing to the identity up to
+    indiscernibility, or None.  Carrier sizes may differ: indiscernible
+    duplicates do not obstruct this notion, so it is the right one for
+    comparing constructed limits."""
+    id_a = identity_relation(A)
+    id_b = identity_relation(B)
+    forth = hom_set(A, B)
+    back = hom_set(B, A) if forth else []
+    for f in forth:
+        for g in back:
+            if extensionally_equal(g.compose(f), id_a) and \
+                    extensionally_equal(f.compose(g), id_b):
+                return f, g
+    return None

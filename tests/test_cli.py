@@ -248,6 +248,16 @@ def test_laws_restricted_config(tmp_path, capsys):
         {"boolean-split", "counterexample"}
 
 
+def test_laws_with_no_checks_reports_no_rows(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": []}))
+    assert run_command(["laws", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == ""
+    assert run_command(["laws", "--config", str(cfg),
+                        "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == []
+
+
 def test_laws_bad_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_algebra_size": 99}))

@@ -13,7 +13,6 @@ from tsettopos import (
     diamond,
     hom_set,
     identity_relation,
-    load_structure,
     presheaf_from_dict,
     presheaf_to_dict,
     principal_tset,
@@ -29,6 +28,7 @@ from tsettopos import (
     two_element,
     validate_presheaf,
 )
+from tsettopos.fileio import read_doc
 
 
 def test_algebra_round_trip():
@@ -90,8 +90,9 @@ def test_save_and_load(tmp_path):
     t = principal_tset(H, H.index("a"))
     path = tmp_path / "t.json"
     save_structure(path, t)
-    kind, back = load_structure(path)
-    assert kind == "tset"
+    doc = read_doc(path)
+    assert detect_kind(doc) == "tset"
+    back = tset_from_dict(doc, path.parent)
     assert back.id_table == t.id_table
     # the on-disk form names algebra elements, not indices
     doc = json.loads(path.read_text())

@@ -21,11 +21,10 @@ from tsettopos import (
     territory_topology,
     tset_to_presheaf,
     two_element,
-    validate_topology,
 )
 from tsettopos.sheaves import natural_families
 from oracles import (amalgamations, chain_product_spec, join_covers,
-                     matching_families)
+                     matching_families, validate_topology)
 from strategies import algebra_elements, algebras
 
 

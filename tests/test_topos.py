@@ -18,8 +18,6 @@ from tsettopos import (
     chain3,
     check_adjunction,
     check_classifier,
-    check_product_universal,
-    check_pullback_universal,
     check_topos_axioms,
     closed_sieves,
     diamond,
@@ -28,7 +26,6 @@ from tsettopos import (
     exponential,
     exposition_counterexample,
     extensionally_equal,
-    extensionally_isomorphic,
     graph,
     hom_presheaf,
     hom_set,
@@ -60,6 +57,7 @@ from tsettopos import (
     validate_relation,
     validate_tset,
 )
+from oracles import check_pullback_universal, extensionally_isomorphic
 from strategies import ALGEBRAS, tsets
 from tsettopos import topos
 from tsettopos.heyting import NAMED_ALGEBRAS
@@ -100,7 +98,8 @@ def test_product_projections_validate(t):
 def test_product_universal_against_small_cones(t):
     prod = product(t, t)
     one = terminal(t.algebra)
-    ok, witness = check_product_universal(prod, [t, one])
+    f = unique_to_terminal(t, one)
+    ok, witness = check_pullback_universal(prod, f, f, [t, one])
     assert ok, witness
 
 
@@ -151,7 +150,7 @@ def test_swapped_projections_are_not_the_pairing():
     assert check_pullback_universal(pb, f, f, [t]) == (True, None)
     ok, witness = check_pullback_universal(_swapped(pb), f, f, [t])
     assert not ok and witness[-1] == "mediator"
-    ok, witness = check_product_universal(_swapped(product(t, t)), [t])
+    ok, witness = check_pullback_universal(_swapped(product(t, t)), f, f, [t])
     assert not ok and witness[-1] == "mediator"
 
 
@@ -173,9 +172,12 @@ CROSS_LEVEL = [(lbl, H) for lbl, H in algebra_pool(3)] + [("diamond", diamond())
 def test_product_verdicts_agree_across_levels(H):
     pool = tset_pool(H, 2, require_separated=False, include_empty=True)
     presheaves = [tset_to_presheaf(t) for t in pool]
+    one = terminal(H)
     for A, PA in zip(pool, presheaves):
         for B, PB in zip(pool, presheaves):
-            tset_verdict = check_product_universal(product(A, B), pool)
+            tset_verdict = check_pullback_universal(
+                product(A, B), unique_to_terminal(A, one),
+                unique_to_terminal(B, one), pool)
             presheaf_verdict = product_universal_presheaf(PA, PB)
             assert tset_verdict[0] == presheaf_verdict[0]
 
@@ -952,6 +954,41 @@ def test_z_mutant_passes_every_representable(monkeypatch):
         assert caught > 0 and seen > 0
 
 
+def _with_restriction_moved(E, p, q):
+    """E with the first section over p restricting to the next section
+    over q, one entry of the presheaf's tables changed."""
+    P = E.presheaf
+    row = list(P.tables[p][q])
+    row[0] = (row[0] + 1) % P.n(q)
+    level = P.tables[p][:q] + (tuple(row),) + P.tables[p][q + 1:]
+    tables = P.tables[:p] + (level,) + P.tables[p + 1:]
+    return dataclasses.replace(
+        E, presheaf=dataclasses.replace(P, tables=tables))
+
+
+def test_wrong_exponential_is_caught():
+    # per exponential, the first cover pair q < p with two sections over
+    # q gets one restriction entry moved: check_adjunction rejects every
+    # such mutant, while the naturality rows hold for any E whatever
+    mutants = 0
+    for _, H, pool in TERRITORY_POOLS:
+        ys = [representable(H, p) for p in H.elements()]
+        for X in pool:
+            for Y in pool:
+                E = exponential(X, Y)
+                cut = next(((p, q) for q, p in H.covers()
+                            if E.presheaf.n(q) > 1 and E.presheaf.n(p)),
+                           None)
+                if cut is None:
+                    continue
+                bad = _with_restriction_moved(E, *cut)
+                mutants += 1
+                assert not all(check_adjunction(bad, Z)[0] for Z in ys)
+                assert all(topos.check_adjunction_natural(bad, Z2, Z)[0]
+                           for Z in ys for Z2 in ys)
+    assert mutants == 6
+
+
 def _topos_bench_pool(H, max_total, max_per_level):
     J = territory_topology(H)
     return [P for P in sheaf_pool(H, J, max_total)
@@ -1025,14 +1062,14 @@ def test_sg_holds_on_pool_tsets():
     for H in ALGEBRAS:
         rep = sg_check(tset_pool(H, 3))
         assert rep.ok, rep.witness
-        assert rep.pairs_checked > 0
 
 
 def _pairwise_sg_check(pool):
     """Reference probe separation: every pair of arrows in every
-    hom-set, against every probe composite, in order."""
+    hom-set, against every probe composite, in order.  Returns the
+    report and the number of pairs visited."""
     if not pool:
-        return SgReport(True, 0, None)
+        return SgReport(True, None), 0
     H = pool[0].algebra
     checked = 0
     for A in pool:
@@ -1046,10 +1083,9 @@ def _pairwise_sg_check(pool):
                     if all(extensionally_equal(f.compose(e), g.compose(e))
                            for e in probes):
                         return SgReport(
-                            False, checked,
-                            (repr(A), repr(B), f.mapping, g.mapping),
-                        )
-    return SgReport(True, checked, None)
+                            False, (repr(A), repr(B), f.mapping, g.mapping),
+                        ), checked
+    return SgReport(True, None), checked
 
 
 def _with_copy(t, x):
@@ -1079,11 +1115,14 @@ SG_CASES = [
 @pytest.mark.parametrize("pool,fails_at", [c[1:] for c in SG_CASES],
                          ids=[c[0] for c in SG_CASES])
 def test_sg_check_matches_pairwise_reference(pool, fails_at):
+    # equal witnesses pin sg_check to the reference's first unseparated
+    # pair, which the reference reaches after fails_at pairs
     rep = sg_check(pool)
-    assert rep == _pairwise_sg_check(pool)
+    ref, checked = _pairwise_sg_check(pool)
+    assert rep == ref
     assert rep.ok == (fails_at is None)
     if fails_at is not None:
-        assert rep.pairs_checked == fails_at
+        assert checked == fails_at
 
 
 def test_sg_failure_exhibit_doubled_point():

@@ -17,13 +17,10 @@ from tsettopos import (
     diamond,
     doubled_point_tset,
     extensionally_equal,
-    extensionally_isomorphic,
-    family_envelope,
     hom_set,
     identity_interval,
     identity_relation,
     is_atom,
-    localise_atom,
     localise_element,
     make_tset,
     principal_tset,
@@ -37,7 +34,8 @@ from tsettopos import (
     validate_relation,
     validate_tset,
 )
-from tsettopos import tset as tset_module
+import oracles
+from oracles import extensionally_isomorphic
 from strategies import relations, tset_elements, tsets
 
 
@@ -218,17 +216,22 @@ def test_block_atoms_are_atom_prefixes(flags):
 
 
 def test_localise_atom_of_real_atom():
+    # the real atom Id(x, .) localised to p is the row of its witness
     t = set_like_tset(two_element(), 2)
     H = t.algebra
-    a = t.row(0)
-    down = localise_atom(t, a, H.bottom)
-    assert all(v == H.bottom for v in down)
-    assert localise_atom(t, a, H.top) == a
+
+    def loc(x, p):
+        w = localise_element(t, x, p)
+        assert t.row(w) == tuple(H.meet(v, p) for v in t.row(x))
+        return w
+
+    assert all(v == H.bottom for v in t.row(loc(0, H.bottom)))
+    assert loc(0, H.top) == 0
     for p in H.elements():
         for q in H.elements():
-            twice = localise_atom(t, localise_atom(t, a, p), q)
-            assert twice == localise_atom(t, a, H.meet(p, q))
-            assert is_atom(t, twice)[0]
+            twice = loc(loc(0, p), q)
+            assert twice == loc(0, H.meet(p, q))
+            assert is_atom(t, t.row(twice))[0]
 
 
 def test_is_atom_rejects_non_atom():
@@ -269,15 +272,6 @@ def test_singleton_completion_no_op_on_complete():
     t = set_like_tset(two_element(), 2)
     done = singleton_completion(t)
     assert done.tset.size == t.size
-
-
-def test_family_envelope():
-    H = chain3()
-    t = principal_tset(H, H.top)
-    row, e = family_envelope(t, range(t.size))
-    # pairwise compatible chain: the top element is its own synthesis
-    assert e == t.size - 1
-    assert row == t.row(e)
 
 
 @given(tsets())
@@ -396,13 +390,13 @@ def test_hom_sets_frozen():
 
 def test_extensionally_isomorphic_enumerates_each_direction_once(monkeypatch):
     calls = []
-    real = tset_module.hom_set
+    real = oracles.hom_set
 
-    def counting(A, B, guard):
+    def counting(A, B):
         calls.append((A, B))
-        return real(A, B, guard)
+        return real(A, B)
 
-    monkeypatch.setattr(tset_module, "hom_set", counting)
+    monkeypatch.setattr(oracles, "hom_set", counting)
     t = set_like_tset(two_element(), 2)
     # the first map collapses both points, so the search reaches a
     # second f before it finds the identity pair
