@@ -128,9 +128,15 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
     the m-block is the m-prefix of a row.  Once the (m-1)-block passes,
     its atoms are the (m-1)-prefixes r of rows, and the m-block's are
     the r + (v,) with v in the identity interval below Ee(m-1) of the
-    pairs (Id(m-1, j), r_j).  Level m is checked on reaching cell
-    (m, m+1), when columns 0..m-1 are known, and levels n-1 and n at
-    the leaf.  The empty carrier fails: its empty atom has no witness.
+    pairs (Id(m-1, j), r_j).  These targets of level m are computed
+    once on reaching cell (m-1, m), when columns 0..m-2 and row m-1's
+    first m-1 cells are known; the later cells of row m-1 leave them
+    unchanged.  Level m is checked on reaching cell (m, m+1), when
+    columns 0..m-1 are known, as one subset test of its targets against
+    the rows' m-prefixes, and the leaf stands for cell (n-1, n).  The
+    rows have at most n distinct prefixes, so a level with more than n
+    targets fails as soon as they are computed.  The empty carrier
+    fails: its empty atom has no witness.
 
     Existence degrees are generated in nondecreasing index order, which
     costs no classes; duplicates across the remaining relabellings are
@@ -151,22 +157,25 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
                 [diag[i] if i == j else None for j in range(n)]
                 for i in range(n)
             ]
-
-            def real(m: int) -> bool:
-                prefixes = {tuple(row[:m]) for row in table}
-                return all(r + (v,) in prefixes
-                           for r in {tuple(row[:m - 1]) for row in table}
-                           for v in identity_interval(
-                               H, diag[m - 1], zip(table[m - 1], r)))
+            # targets[m]: the atoms of the m-block, set at cell (m-1, m)
+            targets: list[set] = [set()] * (n + 1)
 
             def rec(k: int):
+                # the leaf stands for cell (n-1, n)
+                x, y = cells[k] if k < len(cells) else (n - 1, n)
+                if require_postulate and y == x + 1:
+                    prefixes = {tuple(r[:x]) for r in table}
+                    if not targets[x] <= prefixes:
+                        return
+                    targets[y] = {r + (v,) for r in prefixes
+                                  for v in identity_interval(
+                                      H, diag[x], zip(table[x], r))}
+                    if len(targets[y]) > n:
+                        return
                 if k == len(cells):
-                    if not require_postulate or all(
-                            real(m) for m in range(max(n - 1, 1), n + 1)):
+                    if not require_postulate or targets[n] <= set(
+                            map(tuple, table)):
                         found.append(tuple(tuple(r) for r in table))
-                    return
-                x, y = cells[k]
-                if require_postulate and x and y == x + 1 and not real(x):
                     return
                 for v in identity_interval(
                         H, H.meet(diag[x], diag[y]),
@@ -177,6 +186,7 @@ def tset_pool(H: HeytingAlgebra, max_size: int, *,
                     rec(k + 1)
 
             rec(0)
+            del rec  # rec refers to itself; break the cycle
         for tab in sorted(found):
             key = _table_key(tab)
             if key in seen:

@@ -387,6 +387,7 @@ def natural_families(
                 del chosen[p]
 
     rec(0)
+    del rec  # rec refers to itself; break the cycle
     out.sort()
     return out
 

@@ -140,11 +140,13 @@ def identity_interval(H: HeytingAlgebra, cap: int,
     pair (a, b), ascending.  By the adjunction v & a <= b iff
     v <= a -> b, these are the interval from the join of the a & b to
     cap & the meet of the (a -> b) & (b -> a)."""
+    meet, join, imp = H.meet_table, H.join_table, H.imp_table
     lo, hi = H.bottom, cap
     for a, b in pairs:
-        lo = H.join(lo, H.meet(a, b))
-        hi = H.meet(hi, H.meet(H.implies(a, b), H.implies(b, a)))
-    return tuple(v for v in H.down(hi) if H.le(lo, v))
+        lo = join[lo][meet[a][b]]
+        hi = meet[hi][meet[imp[a][b]][imp[b][a]]]
+    above = H.le_table[lo]
+    return tuple(v for v in H.down(hi) if above[v])
 
 
 def atoms(t: TSet, guard: int = DEFAULT_GUARD) -> list[tuple[int, ...]]:
@@ -173,6 +175,7 @@ def atoms(t: TSet, guard: int = DEFAULT_GUARD) -> list[tuple[int, ...]]:
             partial.pop()
 
     rec(0)
+    del rec  # rec refers to itself; break the cycle
     return out
 
 
@@ -404,7 +407,7 @@ def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,
     """
     if A.algebra != B.algebra:
         return []
-    H = A.algebra
+    le = A.algebra.le_table
     cands = [
         [y for y in (range(B.size) if images is None else images[x])
          if B.ee(y) == A.ee(x)]
@@ -428,11 +431,12 @@ def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,
         row = A.row(i)
         for v in cands[i]:
             image_row = B.row(v)
-            if all(H.le(row[j], image_row[w]) for j, w in enumerate(mapping)):
+            if all(le[row[j]][image_row[w]] for j, w in enumerate(mapping)):
                 mapping.append(v)
                 rec(i + 1)
                 mapping.pop()
 
     rec(0)
+    del rec  # rec refers to itself; break the cycle
     return out
 

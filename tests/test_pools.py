@@ -1,5 +1,6 @@
 """Exhaustive instance enumeration up to isomorphism."""
 
+import gc
 import hashlib
 import itertools
 from functools import lru_cache
@@ -16,6 +17,7 @@ from tsettopos import (
     chain3,
     diamond,
     find_presheaf_iso,
+    hom_set,
     is_sheaf,
     satisfies_postulate,
     sheaf_pool,
@@ -27,6 +29,7 @@ from tsettopos import (
     validate_tset,
 )
 from tsettopos.errors import CycleError, NoBound, NotDistributive
+from tsettopos.sheaves import natural_families
 from oracles import (
     atoms_by_candidates,
     chain_product_spec,
@@ -157,6 +160,49 @@ def test_tset_pool_flags():
                          require_postulate=False)) == len(loose) + 1
 
 
+def test_backtrackers_leave_no_cyclic_garbage():
+    # each search returns its results without a self-referencing closure
+    # left for the cyclic collector
+    H = diamond()
+    t = tset_pool(H, 3)[-1]
+    P = tset_to_presheaf(t)
+    searches = {
+        "tset_pool": lambda: tset_pool(H, 3),
+        "atoms": lambda: atoms(t),
+        "hom_set": lambda: hom_set(t, t),
+        "natural_families": lambda: natural_families(P, P, H.elements()),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, search in searches.items():
+            assert search(), name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+
+
+def test_carrier_four_census_at_the_algebra_cap_frozen():
+    got = {lbl: len(tset_pool(H, 4)) for lbl, H in algebra_pool(9)}
+    assert sum(got.values()) == 571
+    assert got == {
+        "A2.0": 4, "A3.0": 7, "A4.0": 8, "A4.1": 8,
+        "A5.0": 10, "A5.1": 8, "A5.2": 8,
+        "A6.0": 11, "A6.1": 9, "A6.2": 10, "A6.3": 8, "A6.4": 8,
+        "A7.0": 11, "A7.1": 8, "A7.2": 8, "A7.3": 11, "A7.4": 9,
+        "A7.5": 10, "A7.6": 8, "A7.7": 8,
+        "A8.0": 13, "A8.1": 12, "A8.2": 11, "A8.3": 9, "A8.4": 10,
+        "A8.5": 8, "A8.6": 8, "A8.7": 11, "A8.8": 8, "A8.9": 8,
+        "A8.10": 11, "A8.11": 9, "A8.12": 10, "A8.13": 8, "A8.14": 8,
+        "A9.0": 13, "A9.1": 11, "A9.2": 14, "A9.3": 11, "A9.4": 8,
+        "A9.5": 8, "A9.6": 11, "A9.7": 9, "A9.8": 10, "A9.9": 8,
+        "A9.10": 8, "A9.11": 13, "A9.12": 12, "A9.13": 11, "A9.14": 9,
+        "A9.15": 10, "A9.16": 8, "A9.17": 8, "A9.18": 11, "A9.19": 8,
+        "A9.20": 8, "A9.21": 11, "A9.22": 9, "A9.23": 10, "A9.24": 8,
+        "A9.25": 8,
+    }
+
+
 def test_carrier_five_census_frozen():
     got = {lbl: len(tset_pool(H, 5)) for lbl, H in algebra_pool(4)}
     assert got == {"A2.0": 5, "A3.0": 12, "A4.0": 10, "A4.1": 16}
@@ -211,11 +257,17 @@ def test_identity_intervals_match_candidate_search(flags):
 @pytest.mark.parametrize("max_algebra,carrier", [(4, 5), (7, 3)])
 def test_postulate_during_fill_matches_table_filter(max_algebra, carrier):
     # deciding the postulate inside the search keeps exactly the tables
-    # that filtering the whole pool by satisfies_postulate keeps
+    # that filtering the whole pool by satisfies_postulate keeps; rows
+    # repeat only in unseparated tables, where the count bound does not
+    # decide the last level
     for _, H in algebra_pool(max_algebra):
-        assert [t.id_table for t in tset_pool(H, carrier)] == [
-            t.id_table for t in tset_pool(H, carrier, require_postulate=False)
-            if satisfies_postulate(t).ok]
+        for separated in (True, False):
+            assert [t.id_table for t in tset_pool(
+                H, carrier, require_separated=separated)] == [
+                t.id_table for t in tset_pool(
+                    H, carrier, require_separated=separated,
+                    require_postulate=False)
+                if satisfies_postulate(t).ok]
 
 
 def test_sheaf_pool_chain3_shapes_frozen():
