@@ -80,8 +80,9 @@ class SuiteConfig:
             # bool is an int subclass; JSON true must not read as 1
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
-        # exhaustive pools: 9/3 takes ~1 s and 9/4 ~6.5 s, most of it in
-        # the T-set census
+        # exhaustive pools; the whole laws process on a 2-vCPU VM takes
+        # ~0.7 s at 9/3, ~1.4 s at 9/4 and ~23 s at 9/5, most of the
+        # last in the topos-axioms sweep
         if not 2 <= self.max_algebra_size <= 9:
             raise ValueError("max_algebra_size must be in 2..9")
         if not 0 <= self.max_carrier_size <= 6:
