@@ -40,18 +40,17 @@ def _order_key(le, order=()) -> tuple[bool, ...]:
                    y in order for y in range(n) if y != x and le[x][y]))
 
 
-def _grown(points: int, limit: int):
+def _grown(points: int, limit: int, below=(), downs=(0,)):
     """Every poset on up to ``points`` points with at most ``limit``
     down-sets, as (below, downs): the masks under each point, and of the
     down-sets.  Each new point is maximal over a down-set of the earlier
-    ones, and adds down-sets, so a branch stops past ``limit``."""
-    def rec(below, downs):
-        yield below, downs
-        for d in downs if len(below) < points else ():
-            more = downs + [u | 1 << len(below) for u in downs if u & d == d]
-            if len(more) <= limit:
-                yield from rec(below + [d], more)
-    return rec([], [0])
+    ones, and adds down-sets, so a branch stops past ``limit``.  The
+    recursion starts from the empty poset, whose one down-set is 0."""
+    yield below, downs
+    for d in downs if len(below) < points else ():
+        more = downs + tuple(u | 1 << len(below) for u in downs if u & d == d)
+        if len(more) <= limit:
+            yield from _grown(points, limit, below + (d,), more)
 
 
 def _specs(n: int, keys) -> list[PosetSpec]:

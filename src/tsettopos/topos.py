@@ -667,59 +667,43 @@ def sg_check(pool: list[TSet], guard: int = DEFAULT_GUARD) -> SgReport:
     On separated objects the two notions coincide, so this is the
     support-generator property there.
 
-    Instead of comparing every pair, each hom-set is partitioned by
-    refinement.  Arrows preserve existence, so two composites are
-    extensionally equal iff they agree after mapping every target
-    element to the first element of its indiscernible class.  All of
-    hom(A, B) starts as one block; for each level s in element order,
-    every block of two or more arrows is split by the canonical
-    composites with the probes out of the subterminal at s, until every
-    block is a singleton.  Probe hom-sets are computed lazily, for the
-    levels some pair still needs, exactly as a pairwise search would.
-    A pair left in one block is unseparated; the first such pair in
-    (f, g) order is the witness.
+    Arrows preserve existence, so two composites are extensionally
+    equal iff they agree after mapping every target element to the
+    first element of its indiscernible class.  Call P(A) the probed
+    points of A: the union of the images of every probe out of the
+    subterminal at every level.  Lemma: f, g: A -> B are unseparated
+    iff their canonical images agree at every x in P(A).  So hom(A, B)
+    is grouped once by those images; a group of two or more arrows is
+    unseparated, and the least (first, second) pair over such groups is
+    the first unseparated pair in (f, g) order, the witness.  When P(A)
+    is all of A and B is separated, distinct arrows differ at a probed
+    point and stay distinct canonically, so hom(A, B) is not listed.
     """
     if not pool:
         return SgReport(True, None)
     H = pool[0].algebra
-    probes: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def probe_points(s: int, k: int) -> tuple[int, ...]:
-        # the images of all probes s -> pool[k], concatenated
-        if (s, k) not in probes:
-            probes[(s, k)] = tuple(
-                v for e in hom_set(principal_tset(H, s), pool[k], guard)
-                for v in e.mapping
-            )
-        return probes[(s, k)]
-
-    for ka, A in enumerate(pool):
-        for B in pool:
-            homs = hom_set(A, B, guard)
-            m = len(homs)
-            if m < 2:
+    firsts = []
+    for B in pool:
+        first = list(range(B.size))
+        for cls in indiscernible_classes(B):
+            for y in cls:
+                first[y] = cls[0]
+        firsts.append(first)
+    subterminals = [principal_tset(H, s) for s in H.elements()]
+    for A in pool:
+        points = sorted({v for S in subterminals
+                         for e in hom_set(S, A, guard) for v in e.mapping})
+        for B, first in zip(pool, firsts):
+            if len(points) == A.size and len(set(first)) == B.size:
                 continue
-            first = [0] * B.size
-            for cls in indiscernible_classes(B):
-                for y in cls:
-                    first[y] = cls[0]
-            canon = [tuple(first[v] for v in f.mapping) for f in homs]
-            blocks = [list(range(m))]
-            for s in H.elements():
-                if not blocks:
-                    break
-                points = probe_points(s, ka)
-                split: list[list[int]] = []
-                for block in blocks:
-                    parts: dict[tuple[int, ...], list[int]] = {}
-                    for i in block:
-                        c = canon[i]
-                        parts.setdefault(tuple(c[v] for v in points),
-                                         []).append(i)
-                    split.extend(p for p in parts.values() if len(p) > 1)
-                blocks = split
-            if blocks:
-                fi, gi = min((b[0], b[1]) for b in blocks)
+            homs = hom_set(A, B, guard)
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for i, f in enumerate(homs):
+                groups.setdefault(tuple(first[f.mapping[x]] for x in points),
+                                  []).append(i)
+            pairs = [(g[0], g[1]) for g in groups.values() if len(g) > 1]
+            if pairs:
+                fi, gi = min(pairs)
                 return SgReport(
                     False,
                     (repr(A), repr(B), homs[fi].mapping, homs[gi].mapping),

@@ -20,6 +20,7 @@ from tsettopos import (
     hom_set,
     is_sheaf,
     satisfies_postulate,
+    sg_check,
     sheaf_pool,
     territory_topology,
     tset_pool,
@@ -171,6 +172,8 @@ def test_backtrackers_leave_no_cyclic_garbage():
         "atoms": lambda: atoms(t),
         "hom_set": lambda: hom_set(t, t),
         "natural_families": lambda: natural_families(P, P, H.elements()),
+        "algebra_pool": lambda: algebra_pool(4),
+        "sg_check": lambda: sg_check(tset_pool(H, 3)).ok,
     }
     gc.collect()
     gc.disable()

@@ -109,6 +109,25 @@ def test_nine_three_census_report_frozen():
         "8576f3ffb704fa79d0a70a2d40aafd72a0a8f50ef1fd74df887eda5b6650e05e")
 
 
+def test_carriers_cell_report_frozen():
+    # the benchmark's carriers cell: 4/5, every check but topos-axioms
+    rep = run_suite(SuiteConfig(
+        max_algebra_size=4, max_carrier_size=5,
+        checks=tuple(c for c in CHECKS if c != "topos-axioms")))
+    assert len(rep.results) == 149
+    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+        "d106e312b9f625396fa0a71854509a5068b0d2cc411dddc8e4612eb394bed821")
+
+
+def test_nine_four_census_report_frozen():
+    # carrier pools of size 4 over every algebra up to the cap
+    rep = run_suite(SuiteConfig(max_algebra_size=9, max_carrier_size=4))
+    assert len(rep.results) == 6588
+    assert sum(r.check == "sg" for r in rep.results) == 62
+    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+        "cc7206a6893843752f0ab9e2b3471ffb762f3c71e9adb05bbbf05417302a8a9a")
+
+
 def test_traced_layer_names_resolve():
     # the benchmark's --trace 1 wraps these names in their home modules
     path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"

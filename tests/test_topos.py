@@ -1097,9 +1097,13 @@ def _with_copy(t, x):
 
 # (label, pool, index of the first unseparated pair or None); the quasi
 # pools fail at their first pair, the doubled point at the 15th, and the
-# copied point deep inside a hom-set
+# copied point deep inside a hom-set.  The partly probed chain3 pools
+# fail at their first pair in either order: no probe reaches POINT's x,
+# and only z of SET2 is probed
 D4 = diamond()
 SET3 = set_like_tset(two_element(), 3)
+POINT = make_tset(chain3(), ("x",), ((2,),))
+SET2 = set_like_tset(chain3(), 2)
 SG_CASES = [
     (f"{lbl}/T4", tset_pool(H, 4), None) for lbl, H in algebra_pool(4)
 ] + [
@@ -1109,6 +1113,8 @@ SG_CASES = [
 ] + [
     ("diamond/T3+doubled", tset_pool(D4, 3) + [doubled_point_tset(D4)], 15),
     ("two_element/set3+copy", [SET3, _with_copy(SET3, 2)], 477),
+    ("chain3/one-point+set2", [POINT, SET2], 1),
+    ("chain3/set2+one-point", [SET2, POINT], 1),
 ]
 
 
@@ -1123,6 +1129,25 @@ def test_sg_check_matches_pairwise_reference(pool, fails_at):
     assert rep.ok == (fails_at is None)
     if fails_at is not None:
         assert checked == fails_at
+
+
+def test_sg_check_lists_no_hom_set_between_pool_tsets(monkeypatch):
+    # pool T-sets are separated and probed at every point, so no pair of
+    # them can fail and only the probes' hom-sets are listed
+    sources = []
+    real = topos.hom_set
+
+    def counting(A, *args):
+        sources.append(A)
+        return real(A, *args)
+
+    monkeypatch.setattr(topos, "hom_set", counting)
+    for lbl, H in algebra_pool(4):
+        pool = tset_pool(H, 4)
+        sources.clear()
+        assert sg_check(pool).ok, lbl
+        assert sources, lbl
+        assert not [A for A in sources if any(A is t for t in pool)], lbl
 
 
 def test_sg_failure_exhibit_doubled_point():
