@@ -44,8 +44,6 @@ from .topos import exposition_counterexample, omega
 from .tset import (
     TSet,
     ValidationReport,
-    atoms,
-    real_witnesses,
     satisfies_postulate,
     singleton_completion,
     validate_relation,
@@ -109,15 +107,12 @@ def _cmd_atoms(args) -> int:
         raise SchemaError("atoms needs a tset file")
     t = _valid_tset(doc, path)
     H = t.algebra
-    rows = []
-    for a in atoms(t):
-        shape = "[" + ",".join(H.name(v) for v in a) + "]"
-        wit = real_witnesses(t, a)
-        rows.append(CheckResult(
-            "atom-real", shape, "pass" if wit else "fail",
-            "witness " + t.name(wit[0]) if wit else "no real witness",
-        ))
     rep = satisfies_postulate(t)
+    rows = [CheckResult(
+        "atom-real", "[" + ",".join(H.name(v) for v in a) + "]",
+        "fail" if x is None else "pass",
+        "no real witness" if x is None else "witness " + t.name(x),
+    ) for a, x in rep.witnesses]
     rows.append(CheckResult(
         "postulate", path.name, "pass" if rep.ok else "fail",
         None if rep.ok else f"{len(rep.unreal)} unreal of {rep.atom_count}",

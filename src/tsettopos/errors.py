@@ -47,14 +47,6 @@ class SizeGuard(WorkbenchError):
         super().__init__(f"{what}: {size} candidates exceeds guard {bound}")
 
 
-class NotAtom(WorkbenchError):
-    """A map A -> T fails one of the two atom inequalities."""
-
-    def __init__(self, witness):
-        self.witness = witness
-        super().__init__(f"not an atom: violated at {witness!r}")
-
-
 class PostulateRequired(WorkbenchError):
     """An operation needed a real witness that the carrier does not supply."""
 

@@ -284,18 +284,7 @@ def _collate_once(P: Presheaf, J: Topology) -> Presheaf:
     matching family over L(p), a natural family out of the terminal
     presheaf; restriction to q < p cuts it down to L(q), which lies
     inside L(p) and below q."""
-    H = P.algebra
-    one = terminal_presheaf(H)
-    fams = [natural_families(one, P, L) for L in J.least]
-    index = [{f: k for k, f in enumerate(level)} for level in fams]
-    sections = tuple(tuple(f"{H.name(p)}+{k}" for k in range(len(level)))
-                     for p, level in enumerate(fams))
-    restrict = {}
-    for q, p in H.covers():
-        keep = [k for k, m in enumerate(J.least[p]) if m in J.least[q]]
-        restrict[(p, q)] = tuple(
-            index[q][tuple(f[k] for k in keep)] for f in fams[p])
-    return make_presheaf(H, sections, restrict)
+    return families_presheaf(terminal_presheaf(P.algebra), P, J.least, "+")[0]
 
 
 def sheafify(P: Presheaf, J: Topology) -> Presheaf:
@@ -392,6 +381,24 @@ def natural_families(
     return out
 
 
+def families_presheaf(X: Presheaf, Y: Presheaf, levels, tag: str):
+    """The presheaf whose sections over p are natural_families(X, Y,
+    levels[p]), named <p><tag><k>, and those families.  Each levels[q]
+    for q < p must lie inside levels[p], in the same order; restriction
+    to q keeps the components over levels[q]."""
+    H = X.algebra
+    families = tuple(tuple(natural_families(X, Y, L)) for L in levels)
+    index = [{f: k for k, f in enumerate(fams)} for fams in families]
+    sections = tuple(tuple(f"{H.name(p)}{tag}{k}" for k in range(len(fams)))
+                     for p, fams in enumerate(families))
+    restrict = {}
+    for q, p in H.covers():
+        keep = [k for k, r in enumerate(levels[p]) if r in levels[q]]
+        restrict[(p, q)] = tuple(
+            index[q][tuple(f[k] for k in keep)] for f in families[p])
+    return make_presheaf(H, sections, restrict), families
+
+
 def hom_presheaf(P: Presheaf, Q: Presheaf,
                  guard: int = DEFAULT_GUARD) -> list[NatTransform]:
     """All natural transformations P -> Q, enumerated top-down with
@@ -428,8 +435,10 @@ def find_presheaf_iso(P: Presheaf, Q: Presheaf,
 
 # ------------------------------------------------------- small presheaves
 
+@functools.cache
 def representable(H: HeytingAlgebra, s: int) -> Presheaf:
-    """One section over every element below s, none elsewhere."""
+    """One section over every element below s, none elsewhere.  Built
+    once per algebra and level: presheaves are frozen values."""
     sections = tuple(("*",) if H.le(q, s) else () for q in H.elements())
     restrict = {(p, q): (0,) if H.le(p, s) else () for q, p in H.covers()}
     return make_presheaf(H, sections, restrict)
@@ -439,35 +448,16 @@ def terminal_presheaf(H: HeytingAlgebra) -> Presheaf:
     return representable(H, H.top)
 
 
-def _sectionwise_pairs(P: Presheaf, Q: Presheaf, agree):
-    """Pairs (i, j) of sections over the same level with agree(p, i, j),
-    restriction componentwise; returns the presheaf and the pair lists.
-    `agree` must be stable under restriction; None admits every pair."""
+def to_terminal(P: Presheaf) -> NatTransform:
+    """The unique arrow P -> 1."""
     H = P.algebra
-    pairs = [
-        [(i, j) for i in range(P.n(p)) for j in range(Q.n(p))
-         if agree is None or agree(p, i, j)]
-        for p in H.elements()
-    ]
-    sections = tuple(
-        tuple(f"({P.section_name(p, i)},{Q.section_name(p, j)})"
-              for i, j in pairs[p])
-        for p in H.elements()
-    )
-    restrict = {}
-    for q, p in H.covers():
-        pos = {pair: k for k, pair in enumerate(pairs[q])}
-        left, right = P.tables[p][q], Q.tables[p][q]
-        restrict[(p, q)] = tuple(
-            pos[(left[i], right[j])] for i, j in pairs[p]
-        )
-    return make_presheaf(H, sections, restrict), pairs
+    return NatTransform(P, terminal_presheaf(H),
+                        tuple((0,) * P.n(p) for p in H.elements()))
 
 
 def product_presheaf(P: Presheaf, Q: Presheaf) -> Presheaf:
-    """P x Q, the pullback over the terminal presheaf: every pair of
-    sections over a level, restriction componentwise."""
-    return _sectionwise_pairs(P, Q, None)[0]
+    """P x Q, the pullback over the terminal presheaf."""
+    return pullback_presheaf(to_terminal(P), to_terminal(Q)).presheaf
 
 
 @dataclass(frozen=True)
@@ -480,15 +470,32 @@ class PresheafPullback:
 
 
 def pullback_presheaf(f: NatTransform, g: NatTransform) -> PresheafPullback:
-    """Sectionwise pairs agreeing in the shared codomain."""
+    """Pairs (i, j) of sections over the same level that agree in the
+    shared codomain, restriction componentwise.  Agreement is stable
+    under restriction because f and g are natural."""
     if f.target != g.target:
         raise ValueError("pullback needs a shared codomain")
     P, Q = f.source, g.source
-    PB, pairs = _sectionwise_pairs(
-        P, Q, lambda p, i, j: f.components[p][i] == g.components[p][j])
+    H = P.algebra
+    pairs = tuple(
+        tuple((i, j) for i, c in enumerate(f.components[p])
+              for j, d in enumerate(g.components[p]) if c == d)
+        for p in H.elements()
+    )
+    sections = tuple(
+        tuple(f"({P.section_name(p, i)},{Q.section_name(p, j)})"
+              for i, j in pairs[p])
+        for p in H.elements()
+    )
+    restrict = {}
+    for q, p in H.covers():
+        pos = {pair: k for k, pair in enumerate(pairs[q])}
+        left, right = P.tables[p][q], Q.tables[p][q]
+        restrict[(p, q)] = tuple(
+            pos[(left[i], right[j])] for i, j in pairs[p]
+        )
+    PB = make_presheaf(H, sections, restrict)
     c1 = tuple(tuple(i for i, _ in level) for level in pairs)
     c2 = tuple(tuple(j for _, j in level) for level in pairs)
     return PresheafPullback(
-        PB, NatTransform(PB, P, c1), NatTransform(PB, Q, c2),
-        tuple(map(tuple, pairs)),
-    )
+        PB, NatTransform(PB, P, c1), NatTransform(PB, Q, c2), pairs)

@@ -47,52 +47,9 @@ from .topos import (
     exposition_counterexample,
     omega,
     sg_check,
-    sg_failure_exhibit,
 )
 
 VERSION = "0.1.0"
-
-CHECKS: tuple[str, ...] = (
-    "heyting-laws",
-    "boolean-split",
-    "tset-sheaf",
-    "localisation-equivalence",
-    "omega-closed-sieves",
-    "classifier-unique",
-    "sheafify-oracle",
-    "counterexample",
-    "topos-axioms",
-    "sg",
-)
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    max_algebra_size: int = 4
-    max_carrier_size: int = 3
-    enumeration_guard: int = DEFAULT_GUARD
-    checks: tuple[str, ...] = CHECKS
-
-    def __post_init__(self):
-        for name in ("max_algebra_size", "max_carrier_size",
-                     "enumeration_guard"):
-            value = getattr(self, name)
-            # bool is an int subclass; JSON true must not read as 1
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
-        # exhaustive pools; the whole laws process on a 2-vCPU VM takes
-        # ~0.7 s at 9/3, ~1.4 s at 9/4 and ~23 s at 9/5, most of the
-        # last in the topos-axioms sweep
-        if not 2 <= self.max_algebra_size <= 9:
-            raise ValueError("max_algebra_size must be in 2..9")
-        if not 0 <= self.max_carrier_size <= 6:
-            raise ValueError("max_carrier_size must be in 0..6")
-        if self.enumeration_guard <= 0:
-            raise ValueError("enumeration_guard must be positive")
-        unknown = [c for c in self.checks if c not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown checks: {unknown}")
-        object.__setattr__(self, "checks", tuple(self.checks))
 
 
 @dataclass(frozen=True)
@@ -310,12 +267,9 @@ def _check_sg(config: SuiteConfig, pool: InstancePool) -> list[CheckResult]:
         ts = [t for l, t in pool.tsets if l.startswith(lbl + "/")]
         rep = sg_check(ts, config.enumeration_guard)
         out.append(_row("sg", lbl, rep.ok, rep.witness))
-    Hd = diamond()
-    ex = sg_failure_exhibit(Hd, territory_topology(Hd),
-                            config.enumeration_guard)
-    out.append(_row("sg", "doubled-point",
-                    ex.maps_distinct and not ex.probe_separable,
-                    (ex.maps_distinct, ex.probe_separable)))
+    # the doubled point's indiscernible top elements are probe-inseparable
+    rep = sg_check([doubled_point_tset(diamond())], config.enumeration_guard)
+    out.append(_row("sg", "doubled-point", not rep.ok, "probe-separated"))
     return out
 
 
@@ -331,6 +285,38 @@ _RUNNERS = {
     "topos-axioms": _check_topos_axioms,
     "sg": _check_sg,
 }
+
+# the canonical check order, which the report bytes follow
+CHECKS: tuple[str, ...] = tuple(_RUNNERS)
+
+
+@dataclass(frozen=True)
+class SuiteConfig:
+    max_algebra_size: int = 4
+    max_carrier_size: int = 3
+    enumeration_guard: int = DEFAULT_GUARD
+    checks: tuple[str, ...] = CHECKS
+
+    def __post_init__(self):
+        for name in ("max_algebra_size", "max_carrier_size",
+                     "enumeration_guard"):
+            value = getattr(self, name)
+            # bool is an int subclass; JSON true must not read as 1
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        # exhaustive pools; the whole laws process on a 2-vCPU VM takes
+        # ~0.7 s at 9/3, ~1.4 s at 9/4 and ~23 s at 9/5, most of the
+        # last in the topos-axioms sweep
+        if not 2 <= self.max_algebra_size <= 9:
+            raise ValueError("max_algebra_size must be in 2..9")
+        if not 0 <= self.max_carrier_size <= 6:
+            raise ValueError("max_carrier_size must be in 0..6")
+        if self.enumeration_guard <= 0:
+            raise ValueError("enumeration_guard must be positive")
+        unknown = [c for c in self.checks if c not in CHECKS]
+        if unknown:
+            raise ValueError(f"unknown checks: {unknown}")
+        object.__setattr__(self, "checks", tuple(self.checks))
 
 
 @dataclass(frozen=True)
@@ -350,9 +336,9 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     config = config if config is not None else SuiteConfig()
     pool = generate_instance_pool(config)
     results: list[CheckResult] = []
-    for name in CHECKS:
+    for name, runner in _RUNNERS.items():
         if name in config.checks:
-            results.extend(_RUNNERS[name](config, pool))
+            results.extend(runner(config, pool))
     return SuiteReport(VERSION, config, tuple(results))
 
 

@@ -27,22 +27,22 @@ from .sheaves import (
     NatTransform,
     Presheaf,
     PresheafPullback,
+    families_presheaf,
     hom_presheaf,
     is_sheaf,
     make_presheaf,
-    natural_families,
     naturality_witness,
     product_presheaf,
     pullback_presheaf,
     representable,
     terminal_presheaf,
+    to_terminal,
 )
 from .sites import Topology, closed_sieves
 from .tset import (
     DEFAULT_GUARD,
     TRelation,
     TSet,
-    extensionally_equal,
     hom_set,
     identity_relation,
     indiscernible_classes,
@@ -243,11 +243,8 @@ def pullback_universal_presheaf(pb: PresheafPullback, f: NatTransform,
 def product_universal_presheaf(P: Presheaf,
                                Q: Presheaf) -> tuple[bool, tuple | None]:
     """P x Q verified as the pullback over the terminal presheaf."""
-    H = P.algebra
-    one = terminal_presheaf(H)
-    to_one = [NatTransform(F, one, tuple((0,) * F.n(p) for p in H.elements()))
-              for F in (P, Q)]
-    return pullback_universal_presheaf(pullback_presheaf(*to_one), *to_one)
+    f, g = to_terminal(P), to_terminal(Q)
+    return pullback_universal_presheaf(pullback_presheaf(f, g), f, g)
 
 
 # ------------------------------------------------------------ exponential
@@ -280,23 +277,8 @@ def exponential(X: Presheaf, Y: Presheaf,
             if total > guard:
                 raise SizeGuard("exponential enumeration", total, guard)
 
-    families = tuple(
-        tuple(natural_families(X, Y, H.down(p))) for p in H.elements()
-    )
-    index = tuple(
-        {fam: k for k, fam in enumerate(fams)} for fams in families
-    )
-    sections = tuple(
-        tuple(f"{H.name(p)}^f{k}" for k in range(len(families[p])))
-        for p in H.elements()
-    )
-    restrict = {}
-    for q, p in H.covers():
-        keep = [k for k, r in enumerate(H.down(p)) if H.le(r, q)]
-        restrict[(p, q)] = tuple(
-            index[q][tuple(fam[k] for k in keep)] for fam in families[p]
-        )
-    E = make_presheaf(H, sections, restrict)
+    E, families = families_presheaf(
+        X, Y, [H.down(p) for p in H.elements()], "^f")
     return ExponentialResult(E, X, Y, families)
 
 
@@ -711,33 +693,12 @@ def sg_check(pool: list[TSet], guard: int = DEFAULT_GUARD) -> SgReport:
     return SgReport(True, None)
 
 
-@dataclass(frozen=True)
-class SgExhibit:
-    presheaf: Presheaf
-    sheaf_witness: tuple | None
-    tset: TSet
-    f: TRelation
-    g: TRelation
-    maps_distinct: bool
-    probe_separable: bool
-
-
-def doubled_point_presheaf(H: HeytingAlgebra) -> Presheaf:
-    """Two top sections agreeing on everything below, singletons at
-    every proper level.  Not a sheaf whenever the proper levels cover
-    the top."""
-    sections = tuple(
-        ("x", "y") if p == H.top else ("*",) for p in H.elements()
-    )
-    restrict = {(p, q): (0, 0) if p == H.top else (0,)
-                for q, p in H.covers()}
-    return make_presheaf(H, sections, restrict)
-
-
 def doubled_point_tset(H: HeytingAlgebra) -> TSet:
-    """The doubled-point presheaf transported by the agreement-degree
-    identity: the two top elements come out indiscernible, so the
-    carrier is not separated."""
+    """Two top elements x and y with Id(x, y) the join of the proper
+    levels, and one element at each proper level.  Where the proper
+    levels join to the top (the diamond, not a chain), x and y are
+    indiscernible, so the carrier is not separated and no probe tells
+    them apart."""
     proper = [p for p in H.elements() if p != H.top]
     names = ("x", "y") + tuple(f"s{H.name(p)}" for p in proper)
     below_top = H.sigma(proper)
@@ -755,33 +716,3 @@ def doubled_point_tset(H: HeytingAlgebra) -> TSet:
     table = tuple(tuple(ident(i, j) for j in range(n)) for i in range(n))
     return TSet(H, names, table)
 
-
-def sg_failure_exhibit(H: HeytingAlgebra, J: Topology,
-                       guard: int = DEFAULT_GUARD) -> SgExhibit:
-    """On the doubled point, the identity and the swap of the two top
-    elements differ as carrier maps, yet every probe composite agrees
-    extensionally: probing cannot resolve indiscernible doubles.
-
-    Meaningful over algebras whose top is covered by the proper
-    elements (the diamond, not a chain): there the presheaf fails the
-    sheaf condition and the carrier fails separation.
-    """
-    P = doubled_point_presheaf(H)
-    sheaf = is_sheaf(P, J)
-    D = doubled_point_tset(H)
-    swap = TRelation(D, D, (1, 0) + tuple(range(2, D.size)))
-    f = identity_relation(D)
-    separable = False
-    for s in H.elements():
-        for e in hom_set(principal_tset(H, s), D, guard):
-            if not extensionally_equal(f.compose(e), swap.compose(e)):
-                separable = True
-    return SgExhibit(
-        presheaf=P,
-        sheaf_witness=sheaf.witness,
-        tset=D,
-        f=f,
-        g=swap,
-        maps_distinct=f.mapping != swap.mapping,
-        probe_separable=separable,
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotAtom, PostulateRequired, SizeGuard
+from .errors import PostulateRequired, SizeGuard
 from .heyting import HeytingAlgebra
 
 DEFAULT_GUARD = 10 ** 6
@@ -84,9 +84,9 @@ class ValidationReport:
     violations: tuple[tuple[str, tuple], ...]
 
 
-def validate_tset(t: TSet, require_separated: bool = False) -> ValidationReport:
-    """Check symmetry, transitivity, the derived existence bound, and
-    (optionally) separatedness.  Violations carry element-name witnesses."""
+def validate_tset(t: TSet) -> ValidationReport:
+    """Check symmetry, transitivity and the derived existence bound.
+    Violations carry element-name witnesses."""
     H = t.algebra
     n = t.size
     bad: list[tuple[str, tuple]] = []
@@ -110,28 +110,7 @@ def validate_tset(t: TSet, require_separated: bool = False) -> ValidationReport:
         for y in range(n):
             if not H.le(t.ident(x, y), H.meet(t.ee(x), t.ee(y))):
                 bad.append(("existence-bound", (t.name(x), t.name(y))))
-    if require_separated:
-        for x in range(n):
-            for y in range(x + 1, n):
-                if t.ident(x, y) == t.ee(x) == t.ee(y):
-                    bad.append(("separated", (t.name(x), t.name(y))))
     return ValidationReport(not bad, tuple(bad))
-
-
-def is_atom(t: TSet, a: Iterable[int]) -> tuple[bool, tuple | None]:
-    """Both atom inequalities; returns (ok, witness-or-None)."""
-    H = t.algebra
-    a = tuple(a)
-    n = t.size
-    if len(a) != n:
-        return False, ("shape",)
-    for x in range(n):
-        for y in range(n):
-            if not H.le(H.meet(a[x], t.ident(x, y)), a[y]):
-                return False, ("A1", t.name(x), t.name(y))
-            if not H.le(H.meet(a[x], a[y]), t.ident(x, y)):
-                return False, ("A2", t.name(x), t.name(y))
-    return True, None
 
 
 def identity_interval(H: HeytingAlgebra, cap: int,
@@ -179,20 +158,16 @@ def atoms(t: TSet, guard: int = DEFAULT_GUARD) -> list[tuple[int, ...]]:
     return out
 
 
-def real_witnesses(t: TSet, a: Iterable[int]) -> list[int]:
-    """Carrier elements whose Id-row equals the atom; NotAtom if `a` is not one."""
-    a = tuple(a)
-    ok, witness = is_atom(t, a)
-    if not ok:
-        raise NotAtom(witness)
-    return [x for x in range(t.size) if t.row(x) == a]
-
-
 @dataclass(frozen=True)
 class PostulateReport:
     ok: bool
     unreal: tuple[tuple[int, ...], ...]
-    atom_count: int
+    # every atom in enumeration order, with its least real witness or None
+    witnesses: tuple[tuple[tuple[int, ...], int | None], ...]
+
+    @property
+    def atom_count(self) -> int:
+        return len(self.witnesses)
 
 
 def satisfies_postulate(t: TSet, guard: int = DEFAULT_GUARD) -> PostulateReport:
@@ -200,10 +175,12 @@ def satisfies_postulate(t: TSet, guard: int = DEFAULT_GUARD) -> PostulateReport:
 
     The empty T-set fails: its sole atom (the empty map) has no witness.
     """
-    all_atoms = atoms(t, guard)
-    rows = set(t.id_table)
-    unreal = tuple(a for a in all_atoms if a not in rows)
-    return PostulateReport(not unreal, unreal, len(all_atoms))
+    first: dict[tuple[int, ...], int] = {}
+    for x in range(t.size):
+        first.setdefault(t.row(x), x)
+    witnesses = tuple((a, first.get(a)) for a in atoms(t, guard))
+    unreal = tuple(a for a, x in witnesses if x is None)
+    return PostulateReport(not unreal, unreal, witnesses)
 
 
 def localise_element(t: TSet, x: int, p: int) -> int:
@@ -372,19 +349,6 @@ def validate_relation(r: TRelation) -> ValidationReport:
             if compatible(A, x, y) and not compatible(B, r.mapping[x], r.mapping[y]):
                 bad.append(("compatibility", (A.name(x), A.name(y))))
     return ValidationReport(not bad, tuple(bad))
-
-
-def extensionally_equal(r1: TRelation, r2: TRelation) -> bool:
-    """Morphism equality: images are indiscernible at each element's
-    existence degree.  Coincides with mapping equality on separated
-    targets."""
-    if r1.source != r2.source or r1.target != r2.target:
-        return False
-    A, B = r1.source, r1.target
-    return all(
-        B.ident(r1.mapping[x], r2.mapping[x]) == A.ee(x)
-        for x in range(A.size)
-    )
 
 
 def hom_set(A: TSet, B: TSet, guard: int = DEFAULT_GUARD,

@@ -10,13 +10,16 @@ section per member, compatible under restriction; these enumerate it
 from the definition, independently of the naturality backtracker in
 ``tsettopos.sheaves``.  Atoms and identity tables are searched one
 candidate value at a time, each tested against every earlier entry,
-independently of the identity intervals in ``tsettopos.tset``.
+independently of the identity intervals in ``tsettopos.tset``, and a
+single map is tested against both atom inequalities directly.
 
 The Grothendieck axioms are checked on the covers derived from a
 topology's least covers.  T-set limits are verified by enumerating the
 mediators from listed cone vertices, the T-set side of the cross-checks
 against the sectionwise presheaf verifiers, and T-sets are compared up
-to extensional isomorphism.
+to extensional isomorphism.  Separatedness is read off the
+indiscernible classes.  The doubled-point presheaf is the diamond's
+smallest presheaf that is not even separated.
 """
 
 import itertools
@@ -26,12 +29,12 @@ from tsettopos import (
     TRelation,
     TSet,
     all_sieves,
-    extensionally_equal,
     hom_set,
     identity_relation,
+    make_presheaf,
 )
 from tsettopos.pools import _table_key
-from tsettopos.tset import ValidationReport
+from tsettopos.tset import ValidationReport, indiscernible_classes
 
 
 def poset_sweep(n, bounded=False):
@@ -172,6 +175,22 @@ def validate_topology(J):
     return ValidationReport(not bad, tuple(bad))
 
 
+def is_atom(t, a):
+    """Both atom inequalities; returns (ok, witness-or-None)."""
+    H = t.algebra
+    a = tuple(a)
+    n = t.size
+    if len(a) != n:
+        return False, ("shape",)
+    for x in range(n):
+        for y in range(n):
+            if not H.le(H.meet(a[x], t.ident(x, y)), a[y]):
+                return False, ("A1", t.name(x), t.name(y))
+            if not H.le(H.meet(a[x], a[y]), t.ident(x, y)):
+                return False, ("A2", t.name(x), t.name(y))
+    return True, None
+
+
 def atoms_by_candidates(t):
     """Every atom of t in lexicographic order: each value of each
     position is tested against both atom inequalities, one earlier
@@ -249,6 +268,24 @@ def tset_pool_by_candidates(H, max_size, *, require_separated=True,
     return out
 
 
+def separated(t):
+    """No two distinct elements of t are indiscernible."""
+    return all(len(c) == 1 for c in indiscernible_classes(t))
+
+
+def extensionally_equal(r1, r2):
+    """Morphism equality: images are indiscernible at each element's
+    existence degree.  Coincides with mapping equality on separated
+    targets."""
+    if r1.source != r2.source or r1.target != r2.target:
+        return False
+    A, B = r1.source, r1.target
+    return all(
+        B.ident(r1.mapping[x], r2.mapping[x]) == A.ee(x)
+        for x in range(A.size)
+    )
+
+
 def _extensional_classes(hs):
     classes = []
     for h in hs:
@@ -310,3 +347,15 @@ def extensionally_isomorphic(A, B):
                     extensionally_equal(f.compose(g), id_b):
                 return f, g
     return None
+
+
+def doubled_point_presheaf(H):
+    """Two top sections agreeing on everything below, singletons at
+    every proper level.  Not a sheaf whenever the proper levels cover
+    the top."""
+    sections = tuple(
+        ("x", "y") if p == H.top else ("*",) for p in H.elements()
+    )
+    restrict = {(p, q): (0, 0) if p == H.top else (0,)
+                for q, p in H.covers()}
+    return make_presheaf(H, sections, restrict)

@@ -17,6 +17,7 @@ from tsettopos import (
     closed_sieves,
     compatible,
     diamond,
+    doubled_point_tset,
     exposition_counterexample,
     find_presheaf_iso,
     generate_instance_pool,
@@ -27,7 +28,6 @@ from tsettopos import (
     report_json,
     run_suite,
     sg_check,
-    sg_failure_exhibit,
     sheaf_pool,
     sheafify,
     singleton_completion,
@@ -196,8 +196,8 @@ def test_criterion_09_sg_linkage():
         rep = sg_check(tset_pool(H, 4))
         ok &= rep.ok
         pools += 1
-    ex = sg_failure_exhibit(diamond(), territory_topology(diamond()))
-    ok &= ex.maps_distinct and not ex.probe_separable
+    # the doubled point's indiscernible top elements defeat every probe
+    ok &= not sg_check([doubled_point_tset(diamond())]).ok
     _gate(9, "sg-linkage", ok, started, f"{pools} pools probe-separated")
 
 

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, output shapes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -95,6 +96,73 @@ def test_atoms_json_shape(files, capsys):
     assert set(doc) == {"version", "config", "results"}
     assert doc["config"]["command"] == "atoms"
     assert all(r["status"] == "pass" for r in doc["results"])
+
+
+def test_atoms_request_enumerates_atoms_once(files, monkeypatch, capsys):
+    from tsettopos import cli, tset
+
+    calls = []
+    real = tset.atoms
+
+    def counting(t, *args):
+        calls.append(t)
+        return real(t, *args)
+
+    for mod in (tset, cli):
+        if getattr(mod, "atoms", None) is real:
+            monkeypatch.setattr(mod, "atoms", counting)
+    for name in ("tower", "unreal"):
+        calls.clear()
+        run_command(["atoms", str(files[name])])
+        assert len(calls) == 1, name
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+# (command, file, exit code, sha256 prefix of the text and of the json
+# output with the data directory written $DATA), as the CLI printed them
+# when the atom rows still came from a second enumeration
+DATA_OUTPUTS = [
+    ("validate", "chain3.json", 0, "63fd7a3c572dc0ec", "05bae2bed01c5b3a"),
+    ("atoms", "chain3.json", 2, "9b920df949c007c7", "9b920df949c007c7"),
+    ("validate", "chain_tower.json", 0, "968ca9c63549fed1",
+     "ea888073eb003cd9"),
+    ("atoms", "chain_tower.json", 0, "a9aa8dc6f15d190f", "a94647f8838a284d"),
+    ("validate", "chain_tower_presheaf.json", 0, "5b6633c3f158e275",
+     "0fa82df3a1bf0785"),
+    ("atoms", "chain_tower_presheaf.json", 2, "9b920df949c007c7",
+     "9b920df949c007c7"),
+    ("validate", "diamond.json", 0, "0714bf132c313990", "b933610af651b204"),
+    ("atoms", "diamond.json", 2, "9b920df949c007c7", "9b920df949c007c7"),
+    ("validate", "pentagon.json", 1, "daf83f67d4b45867", "62a81070b4fb0e5f"),
+    ("atoms", "pentagon.json", 2, "9b920df949c007c7", "9b920df949c007c7"),
+    ("validate", "set_like_2.json", 0, "7853f07ddf9faf30",
+     "b824f72805cd0330"),
+    ("atoms", "set_like_2.json", 0, "e50571ed282c8e4f", "909e3c48e1291e98"),
+    ("validate", "two_element.json", 0, "0abae697b130196d",
+     "92c947ff7ec45258"),
+    ("atoms", "two_element.json", 2, "9b920df949c007c7", "9b920df949c007c7"),
+    ("validate", "unreal_atom_chain3.json", 0, "3db649af65d6ad19",
+     "e360adf033fa5d67"),
+    ("atoms", "unreal_atom_chain3.json", 1, "7acb9e734b91ec1a",
+     "6b4d0f7a737e0ce1"),
+]
+
+
+def test_data_outputs_cover_every_data_file():
+    names = {f.name for f in DATA.glob("*.json")}
+    for command in ("validate", "atoms"):
+        assert {f for c, f, *_ in DATA_OUTPUTS if c == command} == names
+
+
+@pytest.mark.parametrize("command,name,code,text,doc", DATA_OUTPUTS,
+                         ids=[f"{c}-{f}" for c, f, *_ in DATA_OUTPUTS])
+def test_data_file_outputs_frozen(command, name, code, text, doc, capsys):
+    for fmt, digest in (("text", text), ("json", doc)):
+        assert run_command([command, str(DATA / name), "--format", fmt]) \
+            == code
+        out, err = capsys.readouterr()
+        printed = (out + err).replace(str(DATA), "$DATA")
+        assert hashlib.sha256(printed.encode()).hexdigest()[:16] == digest, fmt
 
 
 def test_sheafify_tset_writes_completion(files, capsys):

@@ -36,6 +36,7 @@ from oracles import (
     chain_product_spec,
     order_isomorphism,
     poset_sweep,
+    separated,
     tset_pool_by_candidates,
 )
 
@@ -145,7 +146,7 @@ def test_two_element_tset_pool_frozen():
 def test_tset_pool_members_validate():
     for _, H in algebra_pool(4):
         for t in tset_pool(H, 3):
-            assert validate_tset(t, require_separated=True).ok
+            assert validate_tset(t).ok and separated(t)
             assert satisfies_postulate(t).ok
 
 

@@ -14,7 +14,6 @@ from tsettopos import (
     closed_sieves,
     closure,
     diamond,
-    doubled_point_presheaf,
     set_like_tset,
     singleton_completion,
     terminal_presheaf,
@@ -23,8 +22,9 @@ from tsettopos import (
     two_element,
 )
 from tsettopos.sheaves import natural_families
-from oracles import (amalgamations, chain_product_spec, join_covers,
-                     matching_families, validate_topology)
+from oracles import (amalgamations, chain_product_spec,
+                     doubled_point_presheaf, join_covers, matching_families,
+                     validate_topology)
 from strategies import algebra_elements, algebras
 
 

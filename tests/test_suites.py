@@ -211,6 +211,37 @@ def _only(**fields):
     return InstancePool(**(empty | fields))
 
 
+def test_doubled_point_row_is_decided_by_sg_check(monkeypatch):
+    from tsettopos import diamond, doubled_point_tset
+
+    seen = []
+    real = suites.sg_check
+
+    def recording(pool, *args):
+        rep = real(pool, *args)
+        seen.append((pool, rep))
+        return rep
+
+    monkeypatch.setattr(suites, "sg_check", recording)
+    [row] = suites._check_sg(SuiteConfig(), _only())
+    assert (row.instance, row.status, row.witness) == (
+        "doubled-point", "pass", None)
+    [(pool, rep)] = seen
+    assert pool == [doubled_point_tset(diamond())]
+    # x, y -> x against the identity: the first probe-inseparable pair
+    assert not rep.ok
+    assert rep.witness[2:] == ((0, 0, 2, 3, 4), (0, 1, 2, 3, 4))
+
+
+def test_doubled_point_row_fails_when_probes_separate(monkeypatch):
+    from tsettopos.topos import SgReport
+
+    monkeypatch.setattr(suites, "sg_check",
+                        lambda pool, guard: SgReport(True, None))
+    [row] = suites._check_sg(SuiteConfig(), _only())
+    assert (row.status, row.witness) == ("fail", repr("probe-separated"))
+
+
 def test_heyting_laws_report_first_violation():
     import dataclasses
 

@@ -21,11 +21,9 @@ from tsettopos import (
     check_topos_axioms,
     closed_sieves,
     diamond,
-    doubled_point_presheaf,
     doubled_point_tset,
     exponential,
     exposition_counterexample,
-    extensionally_equal,
     graph,
     hom_presheaf,
     hom_set,
@@ -44,7 +42,6 @@ from tsettopos import (
     representable,
     set_like_tset,
     sg_check,
-    sg_failure_exhibit,
     sheaf_pool,
     subobjects,
     terminal,
@@ -57,7 +54,8 @@ from tsettopos import (
     validate_relation,
     validate_tset,
 )
-from oracles import check_pullback_universal, extensionally_isomorphic
+from oracles import (check_pullback_universal, doubled_point_presheaf,
+                     extensionally_equal, extensionally_isomorphic, separated)
 from strategies import ALGEBRAS, tsets
 from tsettopos import topos
 from tsettopos.heyting import NAMED_ALGEBRAS
@@ -78,7 +76,7 @@ CH_POOL = sheaf_pool(CH, CH_J, 3)
 def test_terminal_admits_exactly_one_map(t):
     H = t.algebra
     one = terminal(H)
-    assert validate_tset(one, require_separated=True).ok
+    assert validate_tset(one).ok and separated(one)
     homs = hom_set(t, one)
     assert len(homs) == 1
     u = unique_to_terminal(t, one)
@@ -1150,18 +1148,18 @@ def test_sg_check_lists_no_hom_set_between_pool_tsets(monkeypatch):
         assert not [A for A in sources if any(A is t for t in pool)], lbl
 
 
-def test_sg_failure_exhibit_doubled_point():
-    H = diamond()
-    ex = sg_failure_exhibit(H, territory_topology(H))
-    assert ex.maps_distinct
-    assert not ex.probe_separable
-    assert not is_sheaf(ex.presheaf, territory_topology(H)).ok
+def test_sg_check_fails_on_doubled_point():
+    # x, y -> x and the identity differ as carrier maps, yet every probe
+    # composite agrees: probing cannot resolve indiscernible doubles
+    rep = sg_check([doubled_point_tset(diamond())])
+    assert not rep.ok
+    assert rep.witness[2:] == ((0, 0, 2, 3, 4), (0, 1, 2, 3, 4))
 
 
 def test_doubled_point_tset_is_not_separated():
     H = diamond()
     t = doubled_point_tset(H)
     assert validate_tset(t).ok
-    assert not validate_tset(t, require_separated=True).ok
+    assert not separated(t)
     P = doubled_point_presheaf(H)
     assert not is_sheaf(P, territory_topology(H)).ok

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given
 
 from tsettopos import (
-    NotAtom,
     TRelation,
     algebra_pool,
     atoms,
@@ -16,15 +15,12 @@ from tsettopos import (
     compatible,
     diamond,
     doubled_point_tset,
-    extensionally_equal,
     hom_set,
     identity_interval,
     identity_relation,
-    is_atom,
     localise_element,
     make_tset,
     principal_tset,
-    real_witnesses,
     satisfies_postulate,
     separated_quotient,
     set_like_tset,
@@ -35,7 +31,7 @@ from tsettopos import (
     validate_tset,
 )
 import oracles
-from oracles import extensionally_isomorphic
+from oracles import extensionally_equal, extensionally_isomorphic, is_atom, separated
 from strategies import relations, tset_elements, tsets
 
 
@@ -49,8 +45,9 @@ def test_principal_tset_shape():
     H = chain3()
     t = principal_tset(H, H.index("p"))
     assert t.size == 2
-    rep = validate_tset(t, require_separated=True)
+    rep = validate_tset(t)
     assert rep.ok, rep.violations
+    assert separated(t)
     assert satisfies_postulate(t).ok
 
 
@@ -61,7 +58,7 @@ def test_set_like_tset_shape():
     # two points at full existence, one null point at bottom
     degrees = sorted(t.ee(x) for x in range(t.size))
     assert degrees == [H.bottom, H.top, H.top]
-    assert validate_tset(t, require_separated=True).ok
+    assert validate_tset(t).ok and separated(t)
     assert satisfies_postulate(t).ok
 
 
@@ -86,8 +83,7 @@ def test_validate_flags_inseparable_pair():
     H = chain3()
     t = make_tset(H, ("a", "b"), ((2, 2), (2, 2)))
     assert validate_tset(t).ok
-    rep = validate_tset(t, require_separated=True)
-    assert not rep.ok
+    assert not separated(t)
 
 
 @given(tset_elements(count=2))
@@ -170,10 +166,14 @@ def test_enumerated_atoms_satisfy_axioms(t):
 
 @given(tsets())
 def test_pool_atoms_are_real(t):
-    # pool instances satisfy the postulate, so every atom is some Id(x, -)
-    for a in atoms(t):
-        assert real_witnesses(t, a)
-    assert satisfies_postulate(t).ok
+    # pool instances satisfy the postulate, so every atom is some Id(x, -),
+    # and the report names its least witness
+    rep = satisfies_postulate(t)
+    assert rep.ok
+    assert [a for a, _ in rep.witnesses] == atoms(t)
+    for a, x in rep.witnesses:
+        assert t.row(x) == a
+        assert a not in t.id_table[:x]
 
 
 def test_identity_interval_is_the_brute_force_filter():
@@ -194,7 +194,7 @@ def test_row_is_an_atom():
     for x in range(t.size):
         ok, _ = is_atom(t, t.row(x))
         assert ok
-        assert x in real_witnesses(t, t.row(x))
+        assert dict(satisfies_postulate(t).witnesses)[t.row(x)] == x
 
 
 @pytest.mark.parametrize("flags", [
@@ -241,12 +241,6 @@ def test_is_atom_rejects_non_atom():
     bad = tuple(H.top for _ in range(t.size))
     ok, witness = is_atom(t, bad)
     assert not ok and witness is not None
-
-
-def test_real_witnesses_requires_atom():
-    t = set_like_tset(two_element(), 2)
-    with pytest.raises(NotAtom):
-        real_witnesses(t, (1, 1, 1))
 
 
 def test_postulate_failure_reported():
@@ -319,7 +313,7 @@ def test_separated_quotient_collapses_duplicates():
     t = make_tset(H, ("a", "b"), ((2, 2), (2, 2)))
     q = separated_quotient(t)
     assert q.tset.size == 1
-    assert validate_tset(q.tset, require_separated=True).ok
+    assert validate_tset(q.tset).ok and separated(q.tset)
     assert q.projection[0] == q.projection[1]
 
 
