@@ -31,7 +31,8 @@ from tsettopos import (
     validate_tset,
 )
 import oracles
-from oracles import extensionally_equal, extensionally_isomorphic, is_atom, separated
+from oracles import (extensionally_equal, extensionally_isomorphic, is_atom,
+                     separated)
 from strategies import relations, tset_elements, tsets
 
 
