@@ -8,6 +8,7 @@ their position in the input list; names are surface syntax only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import CycleError, NoBound, NotDistributive
@@ -80,6 +81,14 @@ class HeytingAlgebra:
 
     def is_boolean(self) -> bool:
         return all(self.neg(self.neg(p)) == p for p in self.elements())
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.names, self.le_table))
+
+    def __hash__(self) -> int:
+        # algebras key every cache: hash once, the order fixes the rest
+        return self._hash
 
     def __repr__(self):
         return f"HeytingAlgebra({list(self.names)})"

@@ -1,10 +1,10 @@
 """Presheaves on the poset site and the T-set <-> sheaf bridge.
 
 Sections live over algebra elements; restriction follows the order.
-T-sets with all localisations witnessed present as presheaves whose
-p-sections are the elements existing exactly at p; sheaves convert back
-via the agreement-degree identity.  Sheafification is the plus
-construction applied twice.
+A T-set presents as the presheaf of its elements existing at p, up to
+agreement at p: on a complete T-set, its Fourman-Scott sheaf.  Sheaves
+convert back via the agreement-degree identity.  Sheafification is the
+plus construction applied twice.
 
 J must be a Grothendieck topology (``territory_topology`` is the only
 constructor).  It stores only the least cover L(p) of each p, which
@@ -23,16 +23,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import NotASheaf, PostulateRequired, SizeGuard
+from .errors import NotASheaf, SizeGuard
 from .heyting import HeytingAlgebra
 from .sites import Topology, territory_topology
-from .tset import (
-    DEFAULT_GUARD,
-    TSet,
-    ValidationReport,
-    localisation_table,
-    separated_quotient,
-)
+from .tset import DEFAULT_GUARD, TSet, ValidationReport
 
 
 @dataclass(frozen=True)
@@ -131,46 +125,20 @@ def validate_presheaf(P: Presheaf) -> ValidationReport:
 # ----------------------------------------------------------- T-set bridge
 
 def tset_to_presheaf(t: TSet) -> Presheaf:
-    """Sections over p are the elements existing exactly at p, after the
-    indiscernibility quotient; restriction along a Hasse cover is
-    localisation, and make_presheaf composes the rest.
+    """Sections over p are the elements existing at least at p,
+    identified when p <= Id(x, r), each class named <p>:<x> after its
+    least element.  A class restricts along a Hasse cover to the class
+    of its representative, and make_presheaf composes the rest.
 
-    Raises PostulateRequired when some needed localisation has no
-    carrier witness.
+    On a complete T-set each class at p holds exactly one element of
+    existence p, its localisation, so the levels and restriction tables
+    are those of the Fourman-Scott sheaf; indiscernible elements share
+    every class, so no quotient is needed.
     """
-    tq = separated_quotient(t).tset
-    H = tq.algebra
-    loc = localisation_table(tq)
-    level: dict[int, list[int]] = {p: [] for p in H.elements()}
-    for x in range(tq.size):
-        level[tq.ee(x)].append(x)
-    pos: dict[int, dict[int, int]] = {
-        p: {x: i for i, x in enumerate(level[p])} for p in H.elements()
-    }
-    sections = tuple(tuple(tq.name(x) for x in level[p]) for p in H.elements())
-    restrict = {}
-    for q, p in H.covers():
-        row = []
-        for x in level[p]:
-            w = loc[x][q]
-            if w is None:
-                raise PostulateRequired(
-                    f"element {tq.name(x)!r} has no localisation at {H.name(q)!r}"
-                )
-            row.append(pos[q][w])
-        restrict[(p, q)] = tuple(row)
-    return make_presheaf(H, sections, restrict)
-
-
-def quasi_presheaf(t: TSet) -> Presheaf:
-    """Total embedding for quasi-T-sets: p-sections are carrier elements
-    existing at least at p, identified when they agree at p."""
     H = t.algebra
-    reps: dict[int, list[int]] = {}
-    cls: dict[int, dict[int, int]] = {}
+    reps: dict[int, list[int]] = {p: [] for p in H.elements()}
+    cls: dict[int, dict[int, int]] = {p: {} for p in H.elements()}
     for p in H.elements():
-        reps[p] = []
-        cls[p] = {}
         for x in range(t.size):
             if not H.le(p, t.ee(x)):
                 continue

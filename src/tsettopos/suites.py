@@ -27,11 +27,11 @@ from .sheaves import (
     find_presheaf_iso,
     is_sheaf,
     naturality_witness,
-    quasi_presheaf,
     sheafify,
     tset_to_presheaf,
 )
-from .sites import closed_sieves, principal_sieves, territory_topology
+from .sites import (Topology, closed_sieves, principal_sieves,
+                    territory_topology)
 from .tset import (
     DEFAULT_GUARD,
     TSet,
@@ -58,6 +58,8 @@ class InstancePool:
     rejected: tuple[tuple[str, str], ...]
     tsets: tuple[tuple[str, TSet], ...]
     quasi: tuple[tuple[str, TSet], ...]
+    # the site (H, J) of the sheaf sweeps, and its sheaves
+    site: tuple[HeytingAlgebra, Topology]
     sheaves: tuple[tuple[str, Presheaf], ...]
 
 
@@ -90,13 +92,12 @@ def generate_instance_pool(config: SuiteConfig) -> InstancePool:
         ("diamond/doubled-point", doubled_point_tset(diamond())),
     )
     H3 = chain3()
+    site = (H3, territory_topology(H3))
     sheaves = tuple(
         (f"chain3/S{j}", P)
-        for j, P in enumerate(sheaf_pool(
-            H3, territory_topology(H3), config.max_carrier_size
-        ))
+        for j, P in enumerate(sheaf_pool(*site, config.max_carrier_size))
     )
-    return InstancePool(algebras, rejected, tsets, quasi, sheaves)
+    return InstancePool(algebras, rejected, tsets, quasi, site, sheaves)
 
 
 @dataclass(frozen=True)
@@ -208,8 +209,7 @@ def _check_omega_closed_sieves(config: SuiteConfig,
 
 def _check_classifier_unique(config: SuiteConfig,
                              pool: InstancePool) -> list[CheckResult]:
-    H3 = chain3()
-    J3 = territory_topology(H3)
+    H3, J3 = pool.site
     om = omega(H3, J3)
     out = []
     for lbl, P in pool.sheaves:
@@ -222,9 +222,8 @@ def _check_sheafify_oracle(config: SuiteConfig,
                            pool: InstancePool) -> list[CheckResult]:
     out = []
     for lbl, t in pool.quasi:
-        H = t.algebra
-        J = territory_topology(H)
-        S = sheafify(quasi_presheaf(t), J)
+        J = territory_topology(t.algebra)
+        S = sheafify(tset_to_presheaf(t), J)
         C = tset_to_presheaf(singleton_completion(t).tset)
         iso = find_presheaf_iso(S, C, config.enumeration_guard)
         out.append(_row("sheafify-oracle", lbl, iso is not None))
@@ -251,9 +250,7 @@ def _check_counterexample(config: SuiteConfig,
 
 def _check_topos_axioms(config: SuiteConfig,
                         pool: InstancePool) -> list[CheckResult]:
-    H3 = chain3()
-    J3 = territory_topology(H3)
-    rep = check_topos_axioms([P for _, P in pool.sheaves], J3,
+    rep = check_topos_axioms([P for _, P in pool.sheaves], pool.site[1],
                              config.enumeration_guard)
     return [
         _row("topos-axioms", f"{name}:{inst}", ok, witness)

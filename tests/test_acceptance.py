@@ -24,7 +24,6 @@ from tsettopos import (
     is_sheaf,
     localise_element,
     omega,
-    quasi_presheaf,
     report_json,
     run_suite,
     sg_check,
@@ -153,7 +152,7 @@ def test_criterion_06_sheafify_oracle_agreement():
     for lbl, q in pool.quasi:
         H = q.algebra
         J = territory_topology(H)
-        plus = sheafify(quasi_presheaf(q), J)
+        plus = sheafify(tset_to_presheaf(q), J)
         direct = tset_to_presheaf(singleton_completion(q).tset)
         if find_presheaf_iso(plus, direct) is None:
             ok = False

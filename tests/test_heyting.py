@@ -48,6 +48,14 @@ def test_diamond_tables_frozen():
     assert H.is_boolean()
 
 
+def test_hash_is_computed_once_and_follows_equality():
+    H = diamond()
+    assert hash(H) == hash(diamond()) and H == diamond()
+    # the value is cached on the instance: the tables are frozen
+    assert vars(H)["_hash"] == hash(H)
+    assert hash(H) != hash(chain3())
+
+
 def test_boolean_split():
     assert two_element().is_boolean()
     assert not chain3().is_boolean()

@@ -314,6 +314,39 @@ def test_equivalence_counts_frozen_at_four():
         assert len(sheaf_pool(H, territory_topology(H), 4)) == n
 
 
+def _restricts_by_identity(t, P):
+    """The section <p>:<x> cuts down to q as some section <q>:<y> with
+    q <= Id(x, y)."""
+    H = t.algebra
+
+    def element(p, i):
+        return t.index(P.section_name(p, i)[len(H.name(p)) + 1:])
+
+    return all(H.le(q, t.ident(element(p, i), element(q, P.restrict(p, q, i))))
+               for p in H.elements() for q in H.down(p)
+               for i in range(P.n(p)))
+
+
+def test_tset_pool_maps_onto_sheaf_pool():
+    # Fourman-Scott on the census: tset_to_presheaf is a bijection on
+    # isomorphism classes from the T-sets of carrier n onto the sheaves
+    # of total n.  At n <= 4 no cover table has two distinct entries, so
+    # a wrong restriction entry leaves the image's isomorphism class as
+    # it is; each image is also checked against its T-set's identity.
+    for lbl, H in algebra_pool(6) + [("diamond", diamond())]:
+        sheaves = sheaf_pool(H, territory_topology(H), 4)
+        images = [0] * len(sheaves)
+        for t in tset_pool(H, 4):
+            P = tset_to_presheaf(t)
+            assert P.total_sections() == t.size, (lbl, t)
+            assert _restricts_by_identity(t, P), (lbl, t)
+            hits = [k for k, S in enumerate(sheaves)
+                    if find_presheaf_iso(P, S) is not None]
+            assert len(hits) == 1, (lbl, t, hits)
+            images[hits[0]] += 1
+        assert images == [1] * len(sheaves), lbl
+
+
 def test_pool_tsets_are_sheaves_as_presheaves():
     for _, H in algebra_pool(3):
         J = territory_topology(H)

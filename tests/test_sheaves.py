@@ -20,7 +20,6 @@ from tsettopos import (
     make_tset,
     naturality_witness,
     presheaf_to_tset,
-    quasi_presheaf,
     representable,
     set_like_tset,
     sheaf_pool,
@@ -140,7 +139,7 @@ def test_quasi_presheaf_of_unreal_atom_instance():
     # embedding is already the terminal sheaf
     H = chain3()
     t = make_tset(H, ("x",), ((2,),))
-    P = quasi_presheaf(t)
+    P = tset_to_presheaf(t)
     J = territory_topology(H)
     assert [P.n(p) for p in H.elements()] == [1, 1, 1]
     assert is_sheaf(P, J).ok
@@ -153,7 +152,7 @@ def test_quasi_presheaf_separated_not_sheaf():
     a, b = H.index("a"), H.index("b")
     mu = H.bottom
     t = make_tset(H, ("x", "y"), ((a, mu), (mu, b)))
-    P = quasi_presheaf(t)
+    P = tset_to_presheaf(t)
     J = territory_topology(H)
     assert is_separated(P, J).ok
     assert not is_sheaf(P, J).ok
@@ -163,7 +162,7 @@ def test_sheafify_agrees_with_completion():
     H = chain3()
     t = make_tset(H, ("x",), ((2,),))
     J = territory_topology(H)
-    plus = sheafify(quasi_presheaf(t), J)
+    plus = sheafify(tset_to_presheaf(t), J)
     direct = tset_to_presheaf(singleton_completion(t).tset)
     assert find_presheaf_iso(plus, direct) is not None
 
@@ -173,7 +172,7 @@ def test_sheafify_agrees_with_completion_diamond():
     a, b = H.index("a"), H.index("b")
     t = make_tset(H, ("x", "y"), ((a, H.bottom), (H.bottom, b)))
     J = territory_topology(H)
-    plus = sheafify(quasi_presheaf(t), J)
+    plus = sheafify(tset_to_presheaf(t), J)
     direct = tset_to_presheaf(singleton_completion(t).tset)
     assert find_presheaf_iso(plus, direct) is not None
 
@@ -272,7 +271,7 @@ def _oracle_pairs(algebras):
         for j, t in enumerate(tset_pool(
                 H, 3, require_separated=False, require_postulate=False,
                 include_empty=True)):
-            yield ((lbl, j), sheafify(quasi_presheaf(t), J),
+            yield ((lbl, j), sheafify(tset_to_presheaf(t), J),
                    tset_to_presheaf(singleton_completion(t).tset))
 
 
@@ -357,7 +356,7 @@ def test_least_cover_verdicts_match_all_covers_reference():
     for lbl, H in algebra_pool(5) + [("diamond", diamond())]:
         J = territory_topology(H)
         pool = sheaf_pool(H, J, 3, require_sheaf=False) + [
-            quasi_presheaf(t) for t in tset_pool(
+            tset_to_presheaf(t) for t in tset_pool(
                 H, 2, require_separated=False, require_postulate=False,
                 include_empty=True)]
         if lbl == "diamond":

@@ -207,8 +207,24 @@ def test_terminal_and_naturality_failures_carry_witnesses(monkeypatch):
 
 
 def _only(**fields):
-    empty = dict(algebras=(), rejected=(), tsets=(), quasi=(), sheaves=())
+    empty = dict(algebras=(), rejected=(), tsets=(), quasi=(), site=None,
+                 sheaves=())
     return InstancePool(**(empty | fields))
+
+
+def test_sheaf_runners_read_the_pool_site():
+    from tsettopos import diamond, sheaf_pool, territory_topology
+
+    # the diamond's sheaves over the diamond's site: a runner that built
+    # its own chain3 site would not classify them
+    H = diamond()
+    site = (H, territory_topology(H))
+    pool = _only(site=site, sheaves=tuple(
+        (f"diamond/S{j}", P) for j, P in enumerate(sheaf_pool(*site, 3))))
+    for runner in (suites._check_classifier_unique,
+                   suites._check_topos_axioms):
+        rows = runner(SuiteConfig(), pool)
+        assert rows and all(r.status == "pass" for r in rows), runner
 
 
 def test_doubled_point_row_is_decided_by_sg_check(monkeypatch):
