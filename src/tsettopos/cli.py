@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import CycleError, NoBound, NotDistributive, SchemaError, WorkbenchError
@@ -28,18 +28,12 @@ from .fileio import (
     save_structure,
     structure_to_dict,
     tset_from_dict,
+    write_json,
 )
 from .heyting import NAMED_ALGEBRAS
 from .sheaves import is_sheaf, naturality_witness, sheafify, validate_presheaf
 from .sites import territory_topology
-from .suites import (
-    CheckResult,
-    SuiteConfig,
-    render,
-    report_json,
-    report_text,
-    run_suite,
-)
+from .suites import CheckResult, SuiteConfig, check_row, render, run_suite
 from .topos import exposition_counterexample, omega
 from .tset import (
     TSet,
@@ -53,9 +47,8 @@ from .tset import (
 BUILD_ERRORS = (CycleError, NoBound, NotDistributive)
 
 
-def _emit(rows: list[CheckResult], fmt: str, command: str,
-          params: dict) -> int:
-    sys.stdout.write(render(rows, fmt, {"command": command, **params}))
+def _emit(rows, fmt: str, config: dict) -> int:
+    render(rows, fmt, config, sys.stdout)
     return 0 if all(r.status == "pass" for r in rows) else 1
 
 
@@ -85,11 +78,9 @@ def _cmd_validate(args) -> int:
         else:
             rep = validate_presheaf(
                 presheaf_from_dict(doc, path.parent, check=False))
-        rows = [CheckResult(
-            f"validate-{kind}", stem, "pass" if rep.ok else "fail",
-            None if rep.ok else repr(rep.violations[0]),
-        )]
-    return _emit(rows, args.format, "validate", {"file": str(path)})
+        rows = [check_row(f"validate-{kind}", stem, rep.ok,
+                          None if rep.ok else rep.violations[0])]
+    return _emit(rows, args.format, {"command": "validate", "file": str(path)})
 
 
 def _valid_tset(doc: dict, path: Path) -> TSet:
@@ -117,7 +108,7 @@ def _cmd_atoms(args) -> int:
         "postulate", path.name, "pass" if rep.ok else "fail",
         None if rep.ok else f"{len(rep.unreal)} unreal of {rep.atom_count}",
     ))
-    return _emit(rows, args.format, "atoms", {"file": str(path)})
+    return _emit(rows, args.format, {"command": "atoms", "file": str(path)})
 
 
 def _cmd_sheafify(args) -> int:
@@ -140,9 +131,10 @@ def _cmd_sheafify(args) -> int:
         save_structure(args.output, out_obj)
         rows = [CheckResult("sheafify", path.name, "pass",
                             f"{note}; wrote {args.output}")]
-        return _emit(rows, args.format, "sheafify",
-                     {"file": str(path), "output": args.output})
-    print(json.dumps(structure_to_dict(out_obj), indent=2))
+        return _emit(rows, args.format, {"command": "sheafify",
+                                         "file": str(path),
+                                         "output": args.output})
+    write_json(sys.stdout, structure_to_dict(out_obj))
     return 0
 
 
@@ -160,23 +152,14 @@ def _cmd_omega(args) -> int:
         levels = [H.index(args.element)]
     else:
         levels = list(H.elements())
-    rows = []
-    for p in levels:
-        rendered = " ".join(
-            "{" + ",".join(H.name(q) for q in sorted(s)) + "}"
-            for s in om.sieves[p]
-        )
-        rows.append(CheckResult("omega-sections", H.name(p), "pass", rendered))
-    rows.append(CheckResult(
-        "omega-sheaf", "Omega",
-        "pass" if is_sheaf(om.presheaf, J).ok else "fail",
-    ))
-    rows.append(CheckResult(
-        "truth-natural", "true",
-        "pass" if naturality_witness(om.truth) is None else "fail",
-    ))
-    return _emit(rows, args.format, "omega",
-                 {"file": str(path), "element": args.element})
+    rows = [CheckResult("omega-sections", H.name(p), "pass",
+                        " ".join(om.presheaf.sections[p])) for p in levels]
+    sheaf = is_sheaf(om.presheaf, J)
+    rows.append(check_row("omega-sheaf", "Omega", sheaf.ok, sheaf.witness))
+    bad = naturality_witness(om.truth)
+    rows.append(check_row("truth-natural", "true", bad is None, bad))
+    return _emit(rows, args.format, {"command": "omega", "file": str(path),
+                                     "element": args.element})
 
 
 def _cmd_laws(args) -> int:
@@ -190,10 +173,7 @@ def _cmd_laws(args) -> int:
             raise SchemaError(f"bad suite config: {e}") from None
     else:
         config = SuiteConfig()
-    rep = run_suite(config)
-    sys.stdout.write(report_json(rep) if args.format == "json"
-                     else report_text(rep))
-    return 0 if rep.ok else 1
+    return _emit(run_suite(config).results, args.format, asdict(config))
 
 
 def _cmd_counterexample(args) -> int:
@@ -214,9 +194,10 @@ def _cmd_counterexample(args) -> int:
             f"({rep.corrected_count} mediator)",
         ),
     ]
-    return _emit(rows, args.format, "counterexample",
-                 {"mode": args.mode, "algebra": args.algebra,
-                  "size": args.size})
+    return _emit(rows, args.format, {"command": "counterexample",
+                                     "mode": args.mode,
+                                     "algebra": args.algebra,
+                                     "size": args.size})
 
 
 def _size(text: str) -> int:

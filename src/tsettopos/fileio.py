@@ -9,6 +9,9 @@ One shape per structure, detected by its required keys:
   presheaf  {"algebra": <path or inline>, "sections": {level: [...]},
              "restrict": {"p>q": {src: dst}}}   (cover pairs only)
 
+Every JSON document the package writes, structure files and reports
+alike, goes through ``write_json``.
+
 Presheaf files carry restriction maps for Hasse cover pairs only, in
 the order of ``HeytingAlgebra.covers()``; ``make_presheaf`` composes
 the other pairs along cover chains and ``validate_presheaf`` catches
@@ -18,8 +21,11 @@ or paths relative to the referencing file.
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable
 from pathlib import Path
+from typing import TextIO
 
 from .errors import SchemaError
 from .heyting import HeytingAlgebra, PosetSpec, build_algebra
@@ -238,7 +244,21 @@ def structure_to_dict(obj: object) -> dict:
     raise TypeError(f"no file form for {type(obj).__name__}")
 
 
+def write_chunks(out: TextIO, chunks: Iterable[str]) -> None:
+    """Write the chunks to out joined 4096 at a time.  One write per
+    chunk would be one system call each on an unbuffered stdout, and
+    one joined string would hold the whole document at once."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, 4096)):
+        out.write(batch)
+
+
+def write_json(out: TextIO, doc: object) -> None:
+    """doc as two-space-indented JSON and a final newline."""
+    write_chunks(out, itertools.chain(
+        json.JSONEncoder(indent=2).iterencode(doc), "\n"))
+
+
 def save_structure(path: str | Path, obj: object) -> None:
-    Path(path).write_text(
-        json.dumps(structure_to_dict(obj), indent=2) + "\n", encoding="utf-8"
-    )
+    with Path(path).open("w", encoding="utf-8") as out:
+        write_json(out, structure_to_dict(obj))

@@ -2,16 +2,18 @@
 
 A suite run is a pure function of its config: the pools are enumerated
 deterministically, the checks run in a canonical order, and the report
-renders to identical bytes across runs.
+renders to identical bytes across runs.  ``render`` is the one report
+writer: every CLI command's rows go through it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from typing import TextIO
 
 from .errors import NotDistributive
+from .fileio import write_chunks, write_json
 from .heyting import (
     HeytingAlgebra,
     build_algebra,
@@ -108,8 +110,9 @@ class CheckResult:
     witness: str | None = None
 
 
-def _row(check: str, instance: str, ok: bool,
-         witness: object = None) -> CheckResult:
+def check_row(check: str, instance: str, ok: bool,
+              witness: object = None) -> CheckResult:
+    """A row that carries repr(witness) on failure only."""
     return CheckResult(
         check, instance, "pass" if ok else "fail",
         None if ok or witness is None else repr(witness),
@@ -139,9 +142,10 @@ def _check_heyting_laws(config: SuiteConfig,
     out = []
     for lbl, H in pool.algebras:
         bad = _heyting_violation(H)
-        out.append(_row("heyting-laws", lbl, bad is None, bad))
+        out.append(check_row("heyting-laws", lbl, bad is None, bad))
     for name, err in pool.rejected:
-        out.append(_row("heyting-laws", f"{name}-reject", err == "NotDistributive"))
+        out.append(check_row("heyting-laws", f"{name}-reject",
+                             err == "NotDistributive"))
     return out
 
 
@@ -154,8 +158,8 @@ def _check_boolean_split(config: SuiteConfig,
            and H3.neg(H3.neg(mid)) == H3.top
            and H3.neg(H3.neg(mid)) != mid)
     return [
-        _row("boolean-split", "two_element", H2.is_boolean()),
-        _row("boolean-split", "chain3", ok3),
+        check_row("boolean-split", "two_element", H2.is_boolean()),
+        check_row("boolean-split", "chain3", ok3),
     ]
 
 
@@ -166,7 +170,7 @@ def _check_tset_sheaf(config: SuiteConfig,
     for lbl, t in pool.tsets:
         J = topo[lbl.split("/")[0]]
         rep = is_sheaf(tset_to_presheaf(t), J)
-        out.append(_row("tset-sheaf", lbl, rep.ok, rep.witness))
+        out.append(check_row("tset-sheaf", lbl, rep.ok, rep.witness))
     return out
 
 
@@ -183,7 +187,7 @@ def _check_localisation_equivalence(config: SuiteConfig,
             if not (c1 == c2 == c3):
                 bad = (t.name(a), t.name(b), c1, c2, c3)
                 break
-        out.append(_row("localisation-equivalence", lbl, bad is None, bad))
+        out.append(check_row("localisation-equivalence", lbl, bad is None, bad))
     return out
 
 
@@ -198,12 +202,12 @@ def _check_omega_closed_sieves(config: SuiteConfig,
             if got != set(principal_sieves(H, p)):
                 bad = (H.name(p), sorted(map(sorted, got)))
                 break
-        out.append(_row("omega-closed-sieves", lbl, bad is None, bad))
+        out.append(check_row("omega-closed-sieves", lbl, bad is None, bad))
         om = omega(H, J)
-        out.append(_row("omega-closed-sieves", f"{lbl}/sheaf",
-                        is_sheaf(om.presheaf, J).ok))
-        out.append(_row("omega-closed-sieves", f"{lbl}/truth",
-                        naturality_witness(om.truth) is None))
+        out.append(check_row("omega-closed-sieves", f"{lbl}/sheaf",
+                             is_sheaf(om.presheaf, J).ok))
+        out.append(check_row("omega-closed-sieves", f"{lbl}/truth",
+                             naturality_witness(om.truth) is None))
     return out
 
 
@@ -214,7 +218,7 @@ def _check_classifier_unique(config: SuiteConfig,
     out = []
     for lbl, P in pool.sheaves:
         ok, witness = check_classifier(P, J3, om, config.enumeration_guard)
-        out.append(_row("classifier-unique", lbl, ok, witness))
+        out.append(check_row("classifier-unique", lbl, ok, witness))
     return out
 
 
@@ -226,7 +230,7 @@ def _check_sheafify_oracle(config: SuiteConfig,
         S = sheafify(tset_to_presheaf(t), J)
         C = tset_to_presheaf(singleton_completion(t).tset)
         iso = find_presheaf_iso(S, C, config.enumeration_guard)
-        out.append(_row("sheafify-oracle", lbl, iso is not None))
+        out.append(check_row("sheafify-oracle", lbl, iso is not None))
     return out
 
 
@@ -236,15 +240,15 @@ def _check_counterexample(config: SuiteConfig,
     deg = exposition_counterexample(proper_size=1,
                                     guard=config.enumeration_guard)
     return [
-        _row("counterexample", "flawed-count", rep.refuted,
-             rep.flawed_count),
-        _row("counterexample", "flawed-count-exact",
-             rep.flawed_count == rep.expected_flawed, rep.flawed_count),
-        _row("counterexample", "corrected-unique", rep.corrected_unique,
-             rep.corrected_count),
-        _row("counterexample", "degenerate-size-1",
-             deg.corrected_count == 1 and not deg.refuted,
-             (deg.flawed_count, deg.corrected_count)),
+        check_row("counterexample", "flawed-count", rep.refuted,
+                  rep.flawed_count),
+        check_row("counterexample", "flawed-count-exact",
+                  rep.flawed_count == rep.expected_flawed, rep.flawed_count),
+        check_row("counterexample", "corrected-unique", rep.corrected_unique,
+                  rep.corrected_count),
+        check_row("counterexample", "degenerate-size-1",
+                  deg.corrected_count == 1 and not deg.refuted,
+                  (deg.flawed_count, deg.corrected_count)),
     ]
 
 
@@ -253,7 +257,7 @@ def _check_topos_axioms(config: SuiteConfig,
     rep = check_topos_axioms([P for _, P in pool.sheaves], pool.site[1],
                              config.enumeration_guard)
     return [
-        _row("topos-axioms", f"{name}:{inst}", ok, witness)
+        check_row("topos-axioms", f"{name}:{inst}", ok, witness)
         for name, inst, ok, witness in rep.rows
     ]
 
@@ -263,10 +267,10 @@ def _check_sg(config: SuiteConfig, pool: InstancePool) -> list[CheckResult]:
     for lbl, H in pool.algebras:
         ts = [t for l, t in pool.tsets if l.startswith(lbl + "/")]
         rep = sg_check(ts, config.enumeration_guard)
-        out.append(_row("sg", lbl, rep.ok, rep.witness))
+        out.append(check_row("sg", lbl, rep.ok, rep.witness))
     # the doubled point's indiscernible top elements are probe-inseparable
     rep = sg_check([doubled_point_tset(diamond())], config.enumeration_guard)
-    out.append(_row("sg", "doubled-point", not rep.ok, "probe-separated"))
+    out.append(check_row("sg", "doubled-point", not rep.ok, "probe-separated"))
     return out
 
 
@@ -301,9 +305,9 @@ class SuiteConfig:
             # bool is an int subclass; JSON true must not read as 1
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
-        # exhaustive pools; the whole laws process on a 2-vCPU VM takes
-        # ~0.7 s at 9/3, ~1.4 s at 9/4 and ~23 s at 9/5, most of the
-        # last in the topos-axioms sweep
+        # exhaustive pools; the whole laws --format json process on a
+        # 2-vCPU VM (Python 3.11) takes ~0.5 s at 9/3, ~1.0 s at 9/4 and
+        # 15-16 s at 9/5, most of the last in the topos-axioms sweep
         if not 2 <= self.max_algebra_size <= 9:
             raise ValueError("max_algebra_size must be in 2..9")
         if not 0 <= self.max_carrier_size <= 6:
@@ -339,10 +343,10 @@ def run_suite(config: SuiteConfig | None = None) -> SuiteReport:
     return SuiteReport(VERSION, config, tuple(results))
 
 
-def render(results, fmt: str, config: dict) -> str:
-    """Report rows as text lines "PASS|FAIL <check> <instance>", or with
-    fmt "json" as the document {version, config, results}, each row
-    carrying its witness when it has one."""
+def render(results, fmt: str, config: dict, out: TextIO) -> None:
+    """Write report rows to out as text lines "PASS|FAIL <check>
+    <instance>", or with fmt "json" as the document {version, config,
+    results}, each row carrying its witness when it has one."""
     if fmt == "json":
         rows = []
         for r in results:
@@ -350,18 +354,9 @@ def render(results, fmt: str, config: dict) -> str:
             if r.witness is not None:
                 row["witness"] = r.witness
             rows.append(row)
-        doc = {"version": VERSION, "config": config, "results": rows}
-        return json.dumps(doc, indent=2) + "\n"
-    return "".join(
-        f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.check} {r.instance}\n"
-        for r in results
-    )
-
-
-def report_json(rep: SuiteReport) -> str:
-    config = asdict(rep.config) | {"checks": list(rep.config.checks)}
-    return render(rep.results, "json", config)
-
-
-def report_text(rep: SuiteReport) -> str:
-    return render(rep.results, "text", {})
+        write_json(out, {"version": VERSION, "config": config,
+                         "results": rows})
+    else:
+        write_chunks(out, (
+            f"{'PASS' if r.status == 'pass' else 'FAIL'} {r.check} "
+            f"{r.instance}\n" for r in results))

@@ -20,9 +20,14 @@ against the sectionwise presheaf verifiers, and T-sets are compared up
 to extensional isomorphism.  Separatedness is read off the
 indiscernible classes.  The doubled-point presheaf is the diamond's
 smallest presheaf that is not even separated.
+
+``report`` renders a suite run as the CLI's ``laws`` command would, to
+one string, for the frozen report digests.
 """
 
+import io
 import itertools
+from dataclasses import asdict
 
 from tsettopos import (
     PosetSpec,
@@ -34,6 +39,7 @@ from tsettopos import (
     make_presheaf,
 )
 from tsettopos.pools import _table_key
+from tsettopos.suites import render
 from tsettopos.tset import ValidationReport, indiscernible_classes
 
 
@@ -359,3 +365,10 @@ def doubled_point_presheaf(H):
     restrict = {(p, q): (0, 0) if p == H.top else (0,)
                 for q, p in H.covers()}
     return make_presheaf(H, sections, restrict)
+
+
+def report(rep, fmt="json"):
+    """The ``laws`` report of a suite run, as one string."""
+    out = io.StringIO()
+    render(rep.results, fmt, asdict(rep.config), out)
+    return out.getvalue()

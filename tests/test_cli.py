@@ -191,8 +191,13 @@ def test_invalid_tset_is_bad_input(tmp_path, capsys):
 
 def test_sheafify_presheaf_to_stdout(files, capsys):
     assert run_command(["sheafify", str(files["presheaf"])]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {"algebra", "sections", "restrict"}
+    out = capsys.readouterr().out
+    assert set(json.loads(out)) == {"algebra", "sections", "restrict"}
+    # one writer: stdout carries the bytes that -o writes
+    saved = files["dir"] / "sheaf.json"
+    assert run_command(["sheafify", str(files["presheaf"]),
+                        "-o", str(saved)]) == 0
+    assert saved.read_text(encoding="utf-8") == out
 
 
 def test_omega_rows(files, capsys):
@@ -324,6 +329,19 @@ def test_laws_with_no_checks_reports_no_rows(tmp_path, capsys):
     assert run_command(["laws", "--config", str(cfg),
                         "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"] == []
+
+
+def test_laws_default_reports_frozen(capsys):
+    # the CLI path of criterion 10's default report, in both formats
+    for fmt, digest in (
+        ("json", "082b7fec874b19772696e621e7a59aca"
+                 "0637c648a68ef97ff644d02e55c49e77"),
+        ("text", "ed63071ebfb41e19a219de92bb27683a"
+                 "dcfe930cd560337a00db7696d323147f"),
+    ):
+        assert run_command(["laws", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_laws_bad_config(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -12,13 +13,13 @@ from tsettopos import (
     SuiteConfig,
     chain3,
     generate_instance_pool,
-    report_json,
-    report_text,
     representable,
     run_suite,
 )
 from tsettopos import suites
-from tsettopos.suites import CHECKS, InstancePool
+from tsettopos.suites import CHECKS, InstancePool, render
+
+from oracles import report
 
 
 def test_config_defaults_valid():
@@ -70,18 +71,29 @@ def test_report_formats_agree():
     cfg = SuiteConfig(max_algebra_size=2, max_carrier_size=2,
                       checks=("heyting-laws",))
     rep = run_suite(cfg)
-    doc = json.loads(report_json(rep))
-    text = report_text(rep)
+    doc = json.loads(report(rep))
+    text = report(rep, "text")
     assert len(doc["results"]) == len(text.strip().splitlines())
     assert doc["version"] == rep.version
     assert doc["config"]["max_algebra_size"] == 2
 
 
 def test_default_text_report_bytes_frozen():
-    text = report_text(run_suite(SuiteConfig()))
+    text = report(run_suite(SuiteConfig()), "text")
     assert len(text.splitlines()) == 344
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ed63071ebfb41e19a219de92bb27683adcfe930cd560337a00db7696d323147f")
+
+
+class _Recorder:
+    """A text stream that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return len(s)
 
 
 def test_topos_axioms_ladder_cell_report_frozen():
@@ -89,15 +101,30 @@ def test_topos_axioms_ladder_cell_report_frozen():
     rep = run_suite(SuiteConfig(max_algebra_size=4, max_carrier_size=4,
                                 checks=("topos-axioms",)))
     assert len(rep.results) == 5103
-    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
-        "75492ee0c04b2e55a3f30bd6ba3b2840ff0dd814d241d9b5b263dce4cd52b4f6")
+    # streamed in batches, neither as one string nor a write per chunk:
+    # a JSON write holds at most half the document, a text write at most
+    # 4096 of its 5103 lines
+    for fmt, digest, biggest in (
+        ("json", "75492ee0c04b2e55a3f30bd6ba3b2840"
+                 "ff0dd814d241d9b5b263dce4cd52b4f6",
+         lambda doc, w: len(w) <= len(doc) // 2),
+        ("text", "a50843ad36b5ebfe41a8a0cb84aa74bd"
+                 "957133ee1e0fce03e4c63cb04077d176",
+         lambda doc, w: w.count("\n") <= 4096),
+    ):
+        out = _Recorder()
+        render(rep.results, fmt, asdict(rep.config), out)
+        doc = "".join(out.writes)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest, fmt
+        assert 1 < len(out.writes) <= 50, fmt
+        assert all(biggest(doc, w) for w in out.writes), fmt
 
 
 def test_six_three_census_report_frozen():
     # carrier pools over every algebra up to size 6, every check
     rep = run_suite(SuiteConfig(max_algebra_size=6, max_carrier_size=3))
     assert len(rep.results) == 460
-    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+    assert hashlib.sha256(report(rep).encode()).hexdigest() == (
         "c7e22590d58fcd024e98482d58b82895da18613d7e7403b10b0d46185e628541")
 
 
@@ -105,7 +132,7 @@ def test_nine_three_census_report_frozen():
     # carrier pools over every algebra up to the cap, every check
     rep = run_suite(SuiteConfig(max_algebra_size=9, max_carrier_size=3))
     assert len(rep.results) == 1193
-    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+    assert hashlib.sha256(report(rep).encode()).hexdigest() == (
         "8576f3ffb704fa79d0a70a2d40aafd72a0a8f50ef1fd74df887eda5b6650e05e")
 
 
@@ -115,7 +142,7 @@ def test_carriers_cell_report_frozen():
         max_algebra_size=4, max_carrier_size=5,
         checks=tuple(c for c in CHECKS if c != "topos-axioms")))
     assert len(rep.results) == 149
-    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+    assert hashlib.sha256(report(rep).encode()).hexdigest() == (
         "d106e312b9f625396fa0a71854509a5068b0d2cc411dddc8e4612eb394bed821")
 
 
@@ -124,7 +151,7 @@ def test_nine_four_census_report_frozen():
     rep = run_suite(SuiteConfig(max_algebra_size=9, max_carrier_size=4))
     assert len(rep.results) == 6588
     assert sum(r.check == "sg" for r in rep.results) == 62
-    assert hashlib.sha256(report_json(rep).encode()).hexdigest() == (
+    assert hashlib.sha256(report(rep).encode()).hexdigest() == (
         "cc7206a6893843752f0ab9e2b3471ffb762f3c71e9adb05bbbf05417302a8a9a")
 
 
